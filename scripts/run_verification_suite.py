@@ -2,7 +2,7 @@
 """Sweep every identity check over the built-in catalog and print a table.
 
 Usage:
-    python scripts/run_verification_suite.py [--field Q|F2] [--threads N]
+    python scripts/run_verification_suite.py [--field Q|F2]
 
 Exits nonzero if any check fails.
 """
@@ -19,7 +19,6 @@ from polydouble.verify import run_all
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--field", choices=FIELDS, default=RATIONALS)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     failures = 0
@@ -27,7 +26,7 @@ def main() -> int:
     start = time.monotonic()
     for entry in built_in_catalog():
         t0 = time.monotonic()
-        results = run_all(entry, args.field, args.threads)
+        results = run_all(entry, args.field)
         elapsed = time.monotonic() - t0
         bad = [r for r in results if not r.passed]
         failures += len(bad)

@@ -1,12 +1,13 @@
 """Command line driver.
 
     poly describe <spec>
-    poly verify <which> [<spec>] [--field Q|F2] [--threads N] [--format text|jsonl]
-    poly betti <spec> --space Z|R [--field Q|F2] [--threads N] [--format text|jsonl]
+    poly verify <which> [<spec>] [--field Q|F2] [--format text|jsonl]
+    poly betti <spec> --space Z|R [--field Q|F2] [--format text|jsonl]
     poly vertices hrep:PATH
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 invalid
-input (parse error, validation error, or budget).  `verify all` without
+input (parse error, validation error, budget, or a check that has
+nothing to test on its input).  `verify all` without
 a spec sweeps the built-in catalog.  Output is deterministic for fixed
 inputs and flags.
 """
@@ -42,14 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("which", choices=CHECK_NAMES)
     verify.add_argument("spec", nargs="?", default=None)
     verify.add_argument("--field", choices=FIELDS, default=RATIONALS)
-    verify.add_argument("--threads", type=int, default=1)
     verify.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     betti = sub.add_parser("betti", help="Betti table of a moment-angle complex")
     betti.add_argument("spec")
     betti.add_argument("--space", choices=SPACE_KINDS, required=True)
     betti.add_argument("--field", choices=FIELDS, default=RATIONALS)
-    betti.add_argument("--threads", type=int, default=1)
     betti.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     vertices = sub.add_parser("vertices", help="enumerate vertices of an hrep: spec")
@@ -93,16 +92,18 @@ def _cmd_verify(args) -> int:
         if args.which != "all":
             raise PolytopeError(f"verify {args.which} needs a spec argument")
         for entry in built_in_catalog():
-            results.extend(run_check("all", entry, args.field, args.threads))
+            results.extend(run_check("all", entry, args.field))
     else:
         entry = parse_spec(args.spec)
-        results.extend(run_check(args.which, entry, args.field, args.threads))
+        results.extend(run_check(args.which, entry, args.field))
+    if not results:
+        raise PolytopeError(f"verify {args.which} {args.spec} produced no results to check")
     return _emit_results(results, args.format)
 
 
 def _cmd_betti(args) -> int:
     entry = parse_spec(args.spec)
-    table = hochster_betti(entry.complex, args.space, args.field, args.threads)
+    table = hochster_betti(entry.complex, args.space, args.field)
     if args.format == "jsonl":
         print(json.dumps(table.to_jsonable()))
     else:

@@ -1,16 +1,23 @@
 """Cohomology ranks of moment-angle and real moment-angle complexes.
 
 Both spaces attached to a complex K on m vertices decompose over the
-full subcomplexes K_J, J running over all 2^m vertex subsets:
+full subcomplexes K_J, J a vertex subset:
 
   * moment-angle (kind "Z"):   rank in degree k  +=  dim H~_(k-|J|-1)(K_J)
   * real moment-angle ("R"):   rank in degree k  +=  dim H~_(k-1)(K_J)
 
 The J = {} term contributes 1 in degree 0 for both kinds (the empty
-complex has reduced rank 1 in dimension -1).  Reduced homology of each
-subcomplex is computed from boundary-matrix ranks by exact elimination:
-fraction-free integer column reduction over the rationals, bit-packed
-column reduction over the two-element field.
+complex has reduced rank 1 in dimension -1).  Only J that are unions of
+minimal non-faces of K can contribute anything else: if some v in a
+nonempty J lies in no minimal non-face inside J, then every face of K_J
+stays a face with v added, so K_J is a cone with apex v and has no
+reduced homology over any field.  The sweep therefore visits those
+unions only.  This is the lcm-lattice support of Hochster's formula
+(Gasharov-Peeva-Welker, "The lcm-lattice in monomial resolutions",
+1999; Buchstaber-Panov, Toric Topology, ch. 3-4).  Reduced homology of
+each subcomplex is computed from boundary-matrix ranks by exact
+elimination: fraction-free integer column reduction over the rationals,
+bit-packed column reduction over the two-element field.
 
 Total rank over all degrees is the same for both kinds, which is why the
 homeomorphism checks (verify_lemma6) compare per degree as well.
@@ -18,13 +25,14 @@ homeomorphism checks (verify_lemma6) compare per degree as well.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .bitsets import iter_bits
-from .complexes import DualPolytope, SimplicialComplex, disjoint_facet_count, double_complex, link
+from .complexes import (
+    DualPolytope, SimplicialComplex, disjoint_facet_count, double_complex, link, minimal_non_faces,
+)
 from .errors import BudgetExceeded, ValidationError
 
 RATIONALS = "Q"
@@ -35,13 +43,11 @@ SPACE_Z = "Z"
 SPACE_R = "R"
 SPACE_KINDS = (SPACE_Z, SPACE_R)
 
-# hochster_betti enumerates 2^m subsets; above this it refuses outright.
+# hochster_betti can still reach all 2^m subsets (nearly every subset of a
+# polygon's vertices is a union of minimal non-faces); above this it refuses.
 HOCHSTER_VERTEX_BUDGET = 20
 # verify_lemma6 and verify_trc_bound run the doubled complex, hence 2m.
 DOUBLE_VERTEX_BUDGET = 10
-
-# Below this vertex count the face->subset fan-out table is precomputed.
-_PREBUILD_LIMIT = 14
 
 
 def _check_field(field_tag: str) -> None:
@@ -143,53 +149,43 @@ def _rank_rational(columns: list[dict[int, int]]) -> int:
     return rank
 
 
-def _ranks_from_faces(faces: list[int], field_tag: str) -> list[int]:
-    """Reduced homology ranks (dims -1..top) of the complex with the given
-    nonempty-face masks.  `faces` excludes the empty face."""
-    if not faces:
-        return [1]
-    by_size: dict[int, list[int]] = {}
-    for f in faces:
-        by_size.setdefault(f.bit_count(), []).append(f)
-    top = max(by_size)
-    sizes = [sorted(by_size.get(s, [])) for s in range(top + 1)]
-    index: list[dict[int, int]] = [
-        {f: i for i, f in enumerate(level)} for level in sizes
-    ]
+def _ranks_from_levels(levels: list[list[int]], row: dict[int, int], field_tag: str) -> list[int]:
+    """Reduced homology ranks (dims -1..top) of a complex given by its
+    faces grouped by size: levels[s] lists the faces with s vertices, so
+    levels[0] is [0], the empty face, and no level is empty.  `row`
+    numbers the faces without repeats; over F2 it gives the bit positions."""
+    top = len(levels) - 1
     # boundary_rank[s] = rank of the map from faces of size s to size s-1;
-    # size-1 faces map onto the empty face (augmentation).
+    # size-1 faces map onto the empty face (augmentation).  Column order
+    # does not change an exact rank, so the levels stay unsorted.
     boundary_rank = [0] * (top + 2)
-    for s in range(1, top + 1):
-        level = sizes[s]
-        if not level:
-            continue
-        if s == 1:
-            boundary_rank[s] = 1 if level else 0
-            continue
-        lower = index[s - 1]
+    boundary_rank[1] = 1 if top else 0
+    for s in range(2, top + 1):
         if field_tag == GF2:
             cols_gf2 = []
-            for f in level:
+            for f in levels[s]:
                 mask = 0
-                for v in iter_bits(f):
-                    mask |= 1 << lower[f ^ (1 << v)]
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    mask |= 1 << row[f ^ low]
+                    rest ^= low
                 cols_gf2.append(mask)
             boundary_rank[s] = _rank_gf2(cols_gf2)
         else:
             cols_q = []
-            for f in level:
+            for f in levels[s]:
                 col: dict[int, int] = {}
                 sign = 1
-                for v in iter_bits(f):
-                    col[lower[f ^ (1 << v)]] = sign
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    col[f ^ low] = sign
                     sign = -sign
+                    rest ^= low
                 cols_q.append(col)
             boundary_rank[s] = _rank_rational(cols_q)
-    ranks = []
-    for s in range(top + 1):
-        dim_chain = 1 if s == 0 else len(sizes[s])
-        ranks.append(dim_chain - boundary_rank[s] - boundary_rank[s + 1])
-    return ranks
+    return [len(levels[s]) - boundary_rank[s] - boundary_rank[s + 1] for s in range(top + 1)]
 
 
 def reduced_homology_ranks(K: SimplicialComplex, field_tag: str) -> list[int]:
@@ -198,59 +194,76 @@ def reduced_homology_ranks(K: SimplicialComplex, field_tag: str) -> list[int]:
     The empty complex {∅} yields [1]; any nonempty complex starts [0, ...].
     """
     _check_field(field_tag)
-    faces = [f for f in K.all_faces() if f]
-    return _ranks_from_faces(faces, field_tag)
+    row = {f: i for i, f in enumerate(K.all_faces())}
+    levels: list[list[int]] = [[] for _ in range(K.dim + 2)]
+    for f in row:
+        levels[f.bit_count()].append(f)
+    return _ranks_from_levels(levels, row, field_tag)
 
 
 # -- Hochster-type accumulation ------------------------------------------------
 
 
-def _accumulate(
-    table: dict[int, int], J: int, local_ranks: list[int], space_kind: str
-) -> None:
-    shift = J.bit_count() + 1 if space_kind == SPACE_Z else 1
-    for d, r in enumerate(local_ranks, start=-1):
-        if r:
-            k = d + shift
-            table[k] = table.get(k, 0) + r
+def _union_subsets(K: SimplicialComplex, faces: Container[int]) -> Iterator[tuple[int, list]]:
+    """Yield (J, levels) for every union J of minimal non-faces of K, the
+    empty union first; levels lists the faces of K inside J as
+    `_ranks_from_levels` takes them.  `faces` holds the faces of K.
+
+    A depth-first walk adds vertices in increasing order.  It carries the
+    faces inside J forward and ORs in the minimal non-faces whose highest
+    vertex is the one just added, so `cover` is the union of the minimal
+    non-faces inside J.  A branch ends as soon as some vertex of J lies in
+    no minimal non-face that fits inside J plus the vertices still to come.
+    """
+    m = K.vertex_count
+    nonfaces = minimal_non_faces(K)
+    by_top = [[N for N in nonfaces if N.bit_length() == v + 1] for v in range(m)]
+    through = [[N for N in nonfaces if N >> v & 1] for v in range(m)]
+    yield 0, [[0]]
+    stack = [(0, [[0]], 0, 0)]
+    while stack:
+        J, levels, cover, start = stack.pop()
+        for v in range(start, m):
+            b = 1 << v
+            Jv = J | b
+            grown = cover
+            for N in by_top[v]:
+                if N & ~Jv == 0:
+                    grown |= N
+            # Vertices up to v are settled: outside Jv they never join it.
+            settled = ((b << 1) - 1) & ~Jv
+            rest = Jv & ~grown
+            while rest:
+                low = rest & -rest
+                if not any(N & settled == 0 for N in through[low.bit_length() - 1]):
+                    break
+                rest ^= low
+            if rest:
+                continue
+            # Faces through v of size s come from faces of size s-1; once a
+            # size has no faces at all, no larger size has any.
+            inside = [[0]]
+            for s, below in enumerate(levels, start=1):
+                level = levels[s] if s < len(levels) else []
+                new = [g for f in below if (g := f | b) in faces]
+                if new:
+                    level = level + new
+                elif not level:
+                    break
+                inside.append(level)
+            if grown == Jv:
+                yield Jv, inside
+            stack.append((Jv, inside, grown, v + 1))
 
 
-def _subset_face_lists(faces: list[int], m: int) -> list[list[int]]:
-    """faces_in[J] = all nonempty faces contained in J, for every J."""
-    out: list[list[int]] = [[] for _ in range(1 << m)]
-    full = (1 << m) - 1
-    for f in faces:
-        free = full & ~f
-        sub = free
-        while True:
-            out[f | sub].append(f)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    return out
-
-
-def _hochster_range(
-    faces_in, J_range, space_kind: str, field_tag: str, faces: list[int], m: int
-) -> dict[int, int]:
-    table: dict[int, int] = {}
-    for J in J_range:
-        if faces_in is not None:
-            local = faces_in[J]
-        else:
-            local = [f for f in faces if f & ~J == 0]
-        _accumulate(table, J, _ranks_from_faces(local, field_tag), space_kind)
-    return table
-
-
-def hochster_betti(
-    K: SimplicialComplex, space_kind: str, field_tag: str, threads: int = 1
-) -> BettiTable:
+def hochster_betti(K: SimplicialComplex, space_kind: str, field_tag: str) -> BettiTable:
     """Betti table of the (real) moment-angle complex of K.
 
-    Enumerates all 2^m full subcomplexes in bit-mask order; per-degree
-    sums are integers, so the aggregation over any partition of the J
-    range gives the same table (threads only change the schedule).
+    Sums the Hochster terms over the full subcomplexes K_J for J a union
+    of minimal non-faces of K, the empty union included.  Any other
+    nonempty J has a vertex in no minimal non-face inside J, so K_J is a
+    cone on that vertex and adds nothing over either field (Gasharov-
+    Peeva-Welker 1999; Buchstaber-Panov, Toric Topology, ch. 3-4).
     """
     _check_field(field_tag)
     if space_kind not in SPACE_KINDS:
@@ -260,39 +273,20 @@ def hochster_betti(
         raise BudgetExceeded(
             f"{m} vertices means 2^{m} subcomplexes, budget is {HOCHSTER_VERTEX_BUDGET}"
         )
-    if threads <= 1:
-        return _hochster_cached(K, space_kind, field_tag)
-    return _hochster_run(K, space_kind, field_tag, threads)
+    return _hochster_cached(K, space_kind, field_tag)
 
 
 @lru_cache(maxsize=4096)
 def _hochster_cached(K: SimplicialComplex, space_kind: str, field_tag: str) -> BettiTable:
-    return _hochster_run(K, space_kind, field_tag, 1)
-
-
-def _hochster_run(
-    K: SimplicialComplex, space_kind: str, field_tag: str, threads: int
-) -> BettiTable:
-    m = K.vertex_count
-    faces = sorted(f for f in K.all_faces() if f)
-    faces_in = _subset_face_lists(faces, m) if m <= _PREBUILD_LIMIT else None
-    total = 1 << m
+    row = {f: i for i, f in enumerate(K.all_faces())}
     table: dict[int, int] = {}
-    if threads <= 1:
-        table = _hochster_range(faces_in, range(total), space_kind, field_tag, faces, m)
-    else:
-        chunk = (total + threads - 1) // threads
-        ranges = [range(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = pool.map(
-                lambda r: _hochster_range(faces_in, r, space_kind, field_tag, faces, m),
-                ranges,
-            )
-            for part in partials:
-                for k, v in part.items():
-                    table[k] = table.get(k, 0) + v
+    for J, levels in _union_subsets(K, row):
+        shift = J.bit_count() + 1 if space_kind == SPACE_Z else 1
+        for d, r in enumerate(_ranks_from_levels(levels, row, field_tag), start=-1):
+            if r:
+                table[d + shift] = table.get(d + shift, 0) + r
     return BettiTable(
-        space_kind=space_kind, field=field_tag, ranks=table, m=m, complex=K
+        space_kind=space_kind, field=field_tag, ranks=table, m=K.vertex_count, complex=K
     )
 
 
@@ -311,7 +305,7 @@ class Lemma6Report:
     passed: bool
 
 
-def verify_lemma6(K: SimplicialComplex, field_tag: str, threads: int = 1) -> Lemma6Report:
+def verify_lemma6(K: SimplicialComplex, field_tag: str) -> Lemma6Report:
     """hrk of the moment-angle complex of K must equal hrk of the real
     moment-angle complex of the double, degree by degree."""
     if K.vertex_count > DOUBLE_VERTEX_BUDGET:
@@ -319,8 +313,8 @@ def verify_lemma6(K: SimplicialComplex, field_tag: str, threads: int = 1) -> Lem
             f"{K.vertex_count} vertices doubles to {2 * K.vertex_count}, "
             f"budget is {DOUBLE_VERTEX_BUDGET}"
         )
-    z = hochster_betti(K, SPACE_Z, field_tag, threads)
-    r = hochster_betti(double_complex(K), SPACE_R, field_tag, threads)
+    z = hochster_betti(K, SPACE_Z, field_tag)
+    r = hochster_betti(double_complex(K), SPACE_R, field_tag)
     per_degree = z.ranks == r.ranks
     total_z, total_r = hrk(z), hrk(r)
     return Lemma6Report(
@@ -345,14 +339,14 @@ class TrcReport:
     r_margin: int = 0
 
 
-def verify_trc_bound(P: DualPolytope, field_tag: str, threads: int = 1) -> TrcReport:
+def verify_trc_bound(P: DualPolytope, field_tag: str) -> TrcReport:
     """Check hrk(Z) >= 2^(m-n) and hrk(R of the double) >= 2^(m-n)."""
     m, n = P.m, P.n
     if m > DOUBLE_VERTEX_BUDGET:
         raise BudgetExceeded(f"m = {m} exceeds budget {DOUBLE_VERTEX_BUDGET}")
     bound = 1 << (m - n)
-    z = hrk(hochster_betti(P.complex, SPACE_Z, field_tag, threads))
-    r = hrk(hochster_betti(double_complex(P.complex), SPACE_R, field_tag, threads))
+    z = hrk(hochster_betti(P.complex, SPACE_Z, field_tag))
+    r = hrk(hochster_betti(double_complex(P.complex), SPACE_R, field_tag))
     return TrcReport(
         bound=bound,
         z_hrk=z,

@@ -187,15 +187,15 @@ def check_geom_double(entry: CatalogEntry) -> CheckResult:
     )
 
 
-def check_lemma6(entry: CatalogEntry, field_tag: str = RATIONALS, threads: int = 1) -> CheckResult:
-    report = verify_lemma6(entry.complex, field_tag, threads)
+def check_lemma6(entry: CatalogEntry, field_tag: str = RATIONALS) -> CheckResult:
+    report = verify_lemma6(entry.complex, field_tag)
     return CheckResult(
         "lemma6", entry.name, str(report.total_z), str(report.total_r), report.passed
     )
 
 
-def check_trc(entry: CatalogEntry, field_tag: str = RATIONALS, threads: int = 1) -> list[CheckResult]:
-    report = verify_trc_bound(entry.require_dual(), field_tag, threads)
+def check_trc(entry: CatalogEntry, field_tag: str = RATIONALS) -> list[CheckResult]:
+    report = verify_trc_bound(entry.require_dual(), field_tag)
     return [
         CheckResult(
             "trc", f"{entry.name} [Z]", str(report.z_hrk), str(report.bound), report.z_hrk >= report.bound
@@ -242,7 +242,7 @@ CHECK_NAMES = (
 
 
 def run_check(
-    which: str, entry: CatalogEntry, field_tag: str = RATIONALS, threads: int = 1
+    which: str, entry: CatalogEntry, field_tag: str = RATIONALS
 ) -> list[CheckResult]:
     """Run one named check (or every applicable one) on a catalog entry."""
     if which == "theorem3":
@@ -260,17 +260,17 @@ def run_check(
     if which == "geomdouble":
         return [check_geom_double(entry)]
     if which == "lemma6":
-        return [check_lemma6(entry, field_tag, threads)]
+        return [check_lemma6(entry, field_tag)]
     if which == "trc":
-        return check_trc(entry, field_tag, threads)
+        return check_trc(entry, field_tag)
     if which == "facetsplit":
         return check_facetsplit(entry, field_tag)
     if which == "all":
-        return run_all(entry, field_tag, threads)
+        return run_all(entry, field_tag)
     raise ValidationError(f"unknown check {which!r}, expected one of {CHECK_NAMES}")
 
 
-def run_all(entry: CatalogEntry, field_tag: str = RATIONALS, threads: int = 1) -> list[CheckResult]:
+def run_all(entry: CatalogEntry, field_tag: str = RATIONALS) -> list[CheckResult]:
     """All checks that apply to this entry, budget-gated for the heavy two."""
     results: list[CheckResult] = []
     results.append(check_theorem3(entry))
@@ -283,6 +283,6 @@ def run_all(entry: CatalogEntry, field_tag: str = RATIONALS, threads: int = 1) -
         results.append(check_geom_double(entry))
     results.extend(check_facetsplit(entry, field_tag))
     if entry.m <= ALL_MODE_HOCHSTER_LIMIT:
-        results.append(check_lemma6(entry, field_tag, threads))
-        results.extend(check_trc(entry, field_tag, threads))
+        results.append(check_lemma6(entry, field_tag))
+        results.extend(check_trc(entry, field_tag))
     return results

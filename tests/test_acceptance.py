@@ -139,7 +139,7 @@ def test_criterion_7_lemma6_totals():
             assert rep.passed
             assert rep.total_z == rep.total_r == expected, (K, field)
     elapsed = time.monotonic() - start
-    assert elapsed < 120, f"took {elapsed:.1f}s, budget 120s"
+    assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
     report(7, f"hrk(Z_K) = hrk(R of double) = {[c[1] for c in cases]} over both "
               f"fields ({elapsed:.1f}s)")
 

@@ -90,11 +90,12 @@ class TestVerify:
     def test_field_flag(self, capsys):
         assert main(["verify", "lemma6", "polygon:4", "--field", "F2"]) == 0
 
-    def test_threads_flag_same_output(self, capsys):
-        assert main(["verify", "lemma6", "polygon:4"]) == 0
-        single = capsys.readouterr().out
-        assert main(["verify", "lemma6", "polygon:4", "--threads", "3"]) == 0
-        assert capsys.readouterr().out == single
+    def test_no_results_is_an_error(self, capsys):
+        # The point has no facets to split off; that must not read as a pass.
+        assert main(["verify", "facetsplit", "point"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "facetsplit" in captured.err and "point" in captured.err
 
 
 class TestBetti:

@@ -1,6 +1,6 @@
 """Property-based tests for the structural invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydouble.bipoly import (
@@ -127,6 +127,18 @@ def test_hochster_totals_agree_across_space_kinds(K, field):
     z = hochster_betti(K, SPACE_Z, field)
     r = hochster_betti(K, SPACE_R, field)
     assert hrk(z) == hrk(r)
+
+
+@given(K=complexes(), field=st.sampled_from([RATIONALS, GF2]))
+@example(K=SimplicialComplex.point(), field=RATIONALS)
+@example(K=SimplicialComplex.point(), field=GF2)
+@example(K=SimplicialComplex.from_masks(4, [0b1111]), field=RATIONALS)
+@example(K=SimplicialComplex.from_masks(4, [0b1111]), field=GF2)
+@settings(max_examples=60, deadline=None)
+def test_union_sweep_matches_the_plain_scan(K, field, plain_hochster):
+    z, r = plain_hochster(K, field)
+    assert hochster_betti(K, SPACE_Z, field).ranks == z
+    assert hochster_betti(K, SPACE_R, field).ranks == r
 
 
 @given(polys())
