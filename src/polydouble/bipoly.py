@@ -72,12 +72,6 @@ class BivariatePolynomial:
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self._coeffs.items())
 
-    def total_degree(self) -> int:
-        """Largest i+j with a nonzero coefficient, -1 for the zero polynomial."""
-        if not self._coeffs:
-            return -1
-        return max(i + j for i, j in self._coeffs)
-
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None."""
         degrees = {i + j for i, j in self._coeffs}
@@ -306,12 +300,12 @@ def face_sum_lemma2(P: DualPolytope, m: int) -> BivariatePolynomial:
         raise DegreeMismatch(
             f"m = {m} does not match the facet count {P.complex.vertex_count}"
         )
-    powers = [ALPHA_PLUS_T**k for k in range(m + 1)]
     total = BivariatePolynomial.zero()
-    for face in sorted(P.complex.all_faces()):
-        size = face.bit_count()
-        G, _ = link(P, face)
-        term = (ALPHA_T**size) * powers[m - size] * h_polynomial(G)
+    for size, level in enumerate(P.complex.faces_by_size()):
+        links = BivariatePolynomial.zero()
+        for face in level:
+            links = links + h_polynomial(link(P, face)[0])
+        term = (ALPHA_T**size) * (ALPHA_PLUS_T ** (m - size)) * links
         total = total + (term.scale(-1) if size % 2 else term)
     return total
 

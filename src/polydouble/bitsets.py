@@ -31,16 +31,6 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of `mask`, including 0 and `mask` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """0-based positions of the set bits, ascending."""
     while mask:

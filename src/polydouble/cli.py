@@ -20,7 +20,7 @@ import sys
 
 from .bipoly import f_polynomial, h_polynomial
 from .catalog import built_in_catalog, parse_spec
-from .complexes import minimal_non_faces
+from .complexes import f_counts, minimal_non_faces
 from .errors import PolytopeError
 from .fileio import render_rational
 from .geometry import enumerate_vertices
@@ -60,12 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_describe(args) -> int:
     entry = parse_spec(args.spec)
     P = entry.require_dual()
-    counts = P.complex.face_counts_by_size()
     lines = [
         f"spec: {entry.name}",
         f"m: {P.m}",
         f"n: {P.dim}",
-        f"f: {counts}",
+        f"f: {f_counts(P)}",
         f"f_polynomial: {f_polynomial(P).to_text()}",
         f"h_polynomial: {h_polynomial(P).to_text()}",
         f"minimal_non_faces: {len(minimal_non_faces(P.complex))}",

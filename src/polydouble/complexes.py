@@ -1,7 +1,9 @@
 """Simplicial complexes on labeled vertices and the doubling construction.
 
 A complex is stored by its maximal faces only (as bit masks over the
-vertex set {1..m}); every other face is recovered by subset iteration.
+vertex set {1..m}).  Every other face comes from a downward closure by
+size: the faces with s vertices are the maximal faces of that size plus
+every face one vertex below the faces with s+1 vertices.
 The dual complex of a simple n-dimensional polytope with m facets lives
 here as a `DualPolytope`: a pure (n-1)-dimensional complex on the facet
 labels that passes weak sphere checks (pseudomanifold plus connectivity).
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
-from .bitsets import iter_bits, iter_submasks, mask_of, vertices_of
+from .bitsets import iter_bits, mask_of, vertices_of
 from .errors import (
     BudgetExceeded,
     Disconnected,
@@ -37,6 +39,27 @@ _NON_FACE_SEARCH_BUDGET = 4_000_000
 
 # Cap on maximal faces produced by double_complex and join.
 _MAXIMAL_FACE_BUDGET = 1 << 22
+
+# Cap on the faces faces_by_size may build, checked before each level so
+# that a huge complex fails fast instead of exhausting memory.  The largest
+# input in use, double(product(simplex:2,polygon:6)), has 168399 faces.
+_FACE_BUDGET = 1 << 24
+
+
+def _maximal(masks: set[int]) -> set[int]:
+    """The inclusion-maximal members of a set of masks."""
+    return {f for f in masks if not any(f != g and f & ~g == 0 for g in masks)}
+
+
+def _relabel(masks: Iterable[int], new_bit: dict[int, int]) -> set[int]:
+    """Carry bit v of every mask to bit new_bit[v]."""
+    out = set()
+    for f in masks:
+        nf = 0
+        for v in iter_bits(f):
+            nf |= 1 << new_bit[v]
+        out.add(nf)
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,10 +89,7 @@ class SimplicialComplex:
             cleaned.add(mask)
         if not cleaned:
             raise ValidationError("a complex needs at least one face (the point complex is {∅})")
-        maximal = {
-            f for f in cleaned
-            if not any(f != g and f & ~g == 0 for g in cleaned)
-        }
+        maximal = _maximal(cleaned)
         covered = 0
         for f in maximal:
             covered |= f
@@ -106,21 +126,38 @@ class SimplicialComplex:
     def sorted_maximal(self) -> list[int]:
         return sorted(self.maximal_faces)
 
+    def faces_by_size(self) -> list[list[int]]:
+        """Every face grouped by size: levels[s] lists the faces with s
+        vertices, levels[0] == [0], and no level is empty.
+
+        Built top down: a level is the maximal faces of its size plus each
+        face of the level above with one vertex removed.
+        """
+        top = self.dim + 1
+        levels: list[list[int]] = [[] for _ in range(top + 1)]
+        for f in self.maximal_faces:
+            levels[f.bit_count()].append(f)
+        total = len(levels[top])
+        for s in range(top - 1, -1, -1):
+            above = levels[s + 1]
+            if total + len(levels[s]) + len(above) * (s + 1) > _FACE_BUDGET:
+                raise BudgetExceeded(
+                    f"complex may have more faces than the budget of {_FACE_BUDGET}"
+                )
+            level = set(levels[s])
+            for f in above:
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    level.add(f ^ low)
+                    rest ^= low
+            levels[s] = list(level)
+            total += len(level)
+        return levels
+
     def all_faces(self) -> set[int]:
         """Every face mask, the empty face included."""
-        faces: set[int] = set()
-        for f in self.maximal_faces:
-            for sub in iter_submasks(f):
-                faces.add(sub)
-        return faces
-
-    def face_counts_by_size(self) -> list[int]:
-        """Entry s = number of faces with s+1 vertices (s = dimension)."""
-        counts = [0] * (self.dim + 1)
-        for face in self.all_faces():
-            if face:
-                counts[face.bit_count() - 1] += 1
-        return counts
+        return set(chain.from_iterable(self.faces_by_size()))
 
     def facets_as_tuples(self) -> list[tuple[int, ...]]:
         return [vertices_of(f) for f in self.sorted_maximal()]
@@ -166,30 +203,26 @@ def validate_dual(complex: SimplicialComplex, n: int) -> DualPolytope:
             raise NotPure(
                 f"maximal face {vertices_of(f)} has {f.bit_count()} vertices, expected {n}"
             )
-    # Ridges: (n-2)-dimensional faces, i.e. n-1 vertices. Each must lie in
-    # exactly two maximal faces. For n = 1 the single ridge is the empty face.
-    ridge_count: dict[int, int] = {}
-    for f in maximal:
+    # Ridges: (n-2)-dimensional faces, i.e. n-1 vertices, each mapped to the
+    # indices of the maximal faces containing it.  Each must lie in exactly
+    # two maximal faces. For n = 1 the single ridge is the empty face.
+    by_ridge: dict[int, list[int]] = {}
+    for i, f in enumerate(maximal):
         for v in iter_bits(f):
-            ridge_count[f ^ (1 << v)] = ridge_count.get(f ^ (1 << v), 0) + 1
+            by_ridge.setdefault(f ^ (1 << v), []).append(i)
     if n == 1:
         if len(maximal) != 2:
             raise NotPseudomanifold(
                 f"{len(maximal)} points cannot bound a segment, expected exactly 2"
             )
     else:
-        for ridge, count in ridge_count.items():
-            if count != 2:
+        for ridge, members in by_ridge.items():
+            if len(members) != 2:
                 raise NotPseudomanifold(
-                    f"ridge {vertices_of(ridge)} lies in {count} maximal faces, expected 2"
+                    f"ridge {vertices_of(ridge)} lies in {len(members)} maximal faces, expected 2"
                 )
     # Facet adjacency graph: maximal faces sharing a ridge.
-    index = {f: i for i, f in enumerate(maximal)}
     adjacency: list[list[int]] = [[] for _ in maximal]
-    by_ridge: dict[int, list[int]] = {}
-    for f in maximal:
-        for v in iter_bits(f):
-            by_ridge.setdefault(f ^ (1 << v), []).append(index[f])
     for members in by_ridge.values():
         for a in members:
             for b in members:
@@ -214,7 +247,7 @@ def f_counts(P: DualPolytope) -> list[int]:
 
     Entry i counts the codimension-(i+1) faces of the polytope.
     """
-    return P.complex.face_counts_by_size()
+    return [len(level) for level in P.complex.faces_by_size()[1:]]
 
 
 def link(P: DualPolytope, sigma: int | Iterable[int]) -> tuple[DualPolytope, tuple[int, ...]]:
@@ -233,13 +266,7 @@ def link(P: DualPolytope, sigma: int | Iterable[int]) -> tuple[DualPolytope, tup
     for f in raw:
         ground |= f
     labels = vertices_of(ground)
-    position = {old: new for new, old in enumerate(labels)}
-    relabeled = set()
-    for f in raw:
-        nf = 0
-        for v in iter_bits(f):
-            nf |= 1 << position[v + 1]
-        relabeled.add(nf)
+    relabeled = _relabel(raw, {v: i for i, v in enumerate(iter_bits(ground))})
     sub = SimplicialComplex.from_masks(len(labels), relabeled)
     return validate_dual(sub, P.dim - sigma_mask.bit_count()), labels
 
@@ -296,22 +323,9 @@ def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
 def full_subcomplex(K: SimplicialComplex, J: int | Iterable[int]) -> SimplicialComplex:
     """Faces of K contained in J, relabeled consecutively along sorted J."""
     J_mask = J if isinstance(J, int) else mask_of(J)
-    labels = vertices_of(J_mask)
-    position = {old: new for new, old in enumerate(labels)}
-    restricted = set()
-    for f in K.maximal_faces:
-        restricted.add(f & J_mask)
-    maximal = {
-        f for f in restricted
-        if not any(f != g and f & ~g == 0 for g in restricted)
-    }
-    relabeled = set()
-    for f in maximal:
-        nf = 0
-        for v in iter_bits(f):
-            nf |= 1 << position[v + 1]
-        relabeled.add(nf)
-    return SimplicialComplex(len(labels), frozenset(relabeled))
+    maximal = _maximal({f & J_mask for f in K.maximal_faces})
+    relabeled = _relabel(maximal, {v: i for i, v in enumerate(iter_bits(J_mask))})
+    return SimplicialComplex(J_mask.bit_count(), frozenset(relabeled))
 
 
 def minimal_non_faces(K: SimplicialComplex) -> frozenset[int]:
@@ -371,10 +385,5 @@ def equal_under_relabel(
         range(1, m + 1)
     ):
         raise SizeMismatch("mapping is not a bijection of {1..m}")
-    image = set()
-    for f in K1.maximal_faces:
-        nf = 0
-        for v in iter_bits(f):
-            nf |= 1 << (mapping[v + 1] - 1)
-        image.add(nf)
-    return image == set(K2.maximal_faces)
+    image = _relabel(K1.maximal_faces, {v - 1: w - 1 for v, w in mapping.items()})
+    return image == K2.maximal_faces

@@ -21,6 +21,7 @@ from math import gcd
 
 from .complexes import DualPolytope, SimplicialComplex, validate_dual
 from .errors import (
+    BudgetExceeded,
     Empty,
     Infeasible,
     NotSimple,
@@ -190,7 +191,9 @@ def _fm_eliminate(rows: set[tuple[int, ...]], k: int) -> set[tuple[int, ...]]:
             if any(combo):
                 out.add(_primitive_direction([Fraction(v) for v in combo]))
             if len(out) > _FM_ROW_CAP:
-                raise ValidationError("Fourier-Motzkin row budget exceeded")
+                raise BudgetExceeded(
+                    f"Fourier-Motzkin elimination passed {_FM_ROW_CAP} rows"
+                )
     return out
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .complexes import (
@@ -194,10 +195,8 @@ def reduced_homology_ranks(K: SimplicialComplex, field_tag: str) -> list[int]:
     The empty complex {∅} yields [1]; any nonempty complex starts [0, ...].
     """
     _check_field(field_tag)
-    row = {f: i for i, f in enumerate(K.all_faces())}
-    levels: list[list[int]] = [[] for _ in range(K.dim + 2)]
-    for f in row:
-        levels[f.bit_count()].append(f)
+    levels = K.faces_by_size()
+    row = {f: i for i, f in enumerate(chain.from_iterable(levels))}
     return _ranks_from_levels(levels, row, field_tag)
 
 
@@ -278,7 +277,7 @@ def hochster_betti(K: SimplicialComplex, space_kind: str, field_tag: str) -> Bet
 
 @lru_cache(maxsize=4096)
 def _hochster_cached(K: SimplicialComplex, space_kind: str, field_tag: str) -> BettiTable:
-    row = {f: i for i, f in enumerate(K.all_faces())}
+    row = {f: i for i, f in enumerate(chain.from_iterable(K.faces_by_size()))}
     table: dict[int, int] = {}
     for J, levels in _union_subsets(K, row):
         shift = J.bit_count() + 1 if space_kind == SPACE_Z else 1

@@ -47,3 +47,38 @@ def _plain_hochster(K, field_tag):
 @pytest.fixture(scope="session")
 def plain_hochster():
     return _plain_hochster
+
+
+def _submask_faces(K):
+    """Every face of K as the union of the submasks of its maximal faces.
+
+    The reference for `SimplicialComplex.faces_by_size`: it visits each
+    face once per maximal face that contains it and never groups by size.
+    """
+    faces = set()
+    for f in K.maximal_faces:
+        sub = f
+        while True:
+            faces.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+    return faces
+
+
+def _check_face_levels(K):
+    """faces_by_size partitions the faces of K by size, and its faces are
+    exactly those of the submask union."""
+    levels = K.faces_by_size()
+    assert levels[0] == [0]
+    for s, level in enumerate(levels):
+        assert level, s
+        assert all(f.bit_count() == s for f in level), s
+    flat = [f for level in levels for f in level]
+    assert len(flat) == len(set(flat))
+    assert set(flat) == _submask_faces(K) == K.all_faces()
+
+
+@pytest.fixture(scope="session")
+def check_face_levels():
+    return _check_face_levels

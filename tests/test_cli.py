@@ -68,6 +68,9 @@ class TestVerify:
     def test_budget_exit_2(self, capsys):
         assert main(["verify", "lemma6", "polygon:12"]) == 2
         assert "error:" in capsys.readouterr().err
+        # 2^31 faces: refused before the enumeration, not killed for memory.
+        assert main(["describe", "simplex:30"]) == 2
+        assert "faces" in capsys.readouterr().err
 
     def test_missing_spec_for_single_check(self, capsys):
         assert main(["verify", "theorem3"]) == 2

@@ -106,6 +106,20 @@ class TestFCounts:
         assert f_counts(validate_dual(BOUNDARY_D3, 3)) == [4, 6, 4]
 
 
+class TestFacesBySize:
+    def test_small_complexes(self, check_face_levels):
+        non_pure = SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [5]])
+        for K in [SimplicialComplex.point(), SimplicialComplex.from_masks(4, [0b1111]),
+                  non_pure, C5, OCTAHEDRON]:
+            check_face_levels(K)
+
+    def test_catalog_and_doubles(self, catalog, check_face_levels):
+        for entry in catalog:
+            if entry.m <= 6:
+                check_face_levels(entry.complex)
+                check_face_levels(double_complex(entry.complex))
+
+
 class TestLink:
     def test_pentagon_vertex(self):
         L, labels = link(validate_dual(C5, 2), (1,))

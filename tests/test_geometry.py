@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from polydouble import geometry
 from polydouble.catalog import (
     cube_hrep,
     polygon_complex,
@@ -10,6 +11,7 @@ from polydouble.catalog import (
 )
 from polydouble.complexes import double_complex, equal_under_relabel
 from polydouble.errors import (
+    BudgetExceeded,
     Empty,
     Infeasible,
     NotSimple,
@@ -83,6 +85,12 @@ def test_recession_cone_line_is_not_trivial():
     assert not recession_cone_is_trivial(
         ((F(0), F(1)), (F(0), F(-1)))
     )
+
+
+def test_fourier_motzkin_overrun_is_a_budget_error(monkeypatch):
+    monkeypatch.setattr(geometry, "_FM_ROW_CAP", 1)
+    with pytest.raises(BudgetExceeded):
+        system(*cube_hrep(2))
 
 
 class TestEnumerateVertices:

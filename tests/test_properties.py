@@ -85,6 +85,13 @@ def test_doubled_membership_matches_rule(K):
         assert (mask in faces) == doubled_face_rule(K, mask)
 
 
+@given(K=complexes())
+@example(K=SimplicialComplex.point())
+@example(K=SimplicialComplex.from_masks(4, [0b1111]))
+def test_faces_by_size_matches_the_submask_union(K, check_face_levels):
+    check_face_levels(K)
+
+
 @given(complexes())
 def test_minimal_non_faces_double_exactly(K):
     m = K.vertex_count
