@@ -16,7 +16,7 @@ H-representations with 6 to 8 sides are corner cuts of the square
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import (
@@ -29,6 +29,7 @@ from .complexes import (
 from .errors import ParseError, PolytopeError, ValidationError
 from .fileio import load_complex_file, load_hrep_file
 from .geometry import PolytopeSystem, dual_complex_from_hrep, validate_hrep
+from .moment_angle import is_homology_sphere
 
 MAX_SPEC_DEPTH = 8
 MAX_SPEC_VERTICES = 64
@@ -242,7 +243,12 @@ def double_entry(inner: CatalogEntry) -> CatalogEntry:
 def file_entry(path: str) -> CatalogEntry:
     complex = load_complex_file(path)
     top = max(f.bit_count() for f in complex.maximal_faces)
-    return _entry(f"file:{path}", complex, top, None, "file")
+    entry = _entry(f"file:{path}", complex, top, None, "file")
+    # A file may hold any pseudomanifold.  Built specs skip this test:
+    # join, double and link carry spheres to spheres.
+    if entry.dual is not None and not is_homology_sphere(entry.dual):
+        return replace(entry, dual=None)
+    return entry
 
 
 def hrep_entry(path: str) -> CatalogEntry:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from .complexes import DualPolytope, SimplicialComplex, validate_dual
 from .errors import (
@@ -36,6 +36,10 @@ Vector = tuple[Fraction, ...]
 
 # Fourier-Motzkin can square the row count at every elimination step.
 _FM_ROW_CAP = 200_000
+
+# Cap on the row or column bases a brute-force enumeration tries.  The
+# doubled slice of product(polygon:5,polygon:6) needs C(22, 7) = 170544.
+_BASIS_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -126,10 +130,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    return len(_rref(rows)[1])
-
-
 def _solve_square(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve an n x n system exactly; None when singular."""
     n = len(M)
@@ -146,6 +146,21 @@ def _solve_square(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction
                 factor = aug[i][c]
                 aug[i] = [v - factor * w for v, w in zip(aug[i], aug[c])]
     return [aug[i][n] for i in range(n)]
+
+
+def _bases(count: int, size: int):
+    """Every size-subset of range(count), refused above the basis budget."""
+    total = comb(count, size)
+    if total > _BASIS_BUDGET:
+        raise BudgetExceeded(
+            f"C({count}, {size}) = {total} candidate bases, budget {_BASIS_BUDGET}"
+        )
+    return combinations(range(count), size)
+
+
+def _sorted_vertex_set(seen: dict[Vector, frozenset[int]]) -> VertexSet:
+    ordered = sorted(seen.items())
+    return VertexSet(tuple(v for v, _ in ordered), tuple(t for _, t in ordered))
 
 
 def _primitive_direction(row: list[Fraction]) -> tuple[int, ...]:
@@ -231,7 +246,9 @@ def validate_hrep(A, b) -> PolytopeSystem:
     """Validate boundedness, nonemptiness, simplicity, and irredundancy.
 
     Boundedness is decided exactly by Fourier-Motzkin elimination on the
-    recession cone; the remaining checks read off the enumerated vertices.
+    recession cone; the rest read the vertices and tight row sets off the
+    cached `enumerate_vertices`.  Once every vertex is tight on exactly n
+    rows, a row supports a facet iff some vertex is tight on it.
     """
     A = _coerce_matrix(A)
     b = tuple(Fraction(v) for v in b)
@@ -243,34 +260,36 @@ def validate_hrep(A, b) -> PolytopeSystem:
     if not recession_cone_is_trivial(A):
         raise Unbounded("recession cone is not {0}")
     system = PolytopeSystem(A, b)
-    vertices = _enumerate_vertices_raw(system)
-    if not vertices:
+    vs = enumerate_vertices(system)
+    if not vs.vertices:
         raise Empty("no vertex satisfies all inequalities")
-    for v, tight in vertices:
+    for v, tight in zip(vs.vertices, vs.incidences):
         if len(tight) != n:
             raise NotSimple(
                 f"vertex {tuple(map(str, v))} is tight on {sorted(tight)}, expected {n} rows"
             )
+    # At a simple vertex the n tight rows are linearly independent, so the
+    # vertex cone is simplicial and each tight row is tight on an
+    # (n-1)-face through the vertex.  A row no vertex is tight on supports
+    # no face at all, since every nonempty face of a polytope has a vertex.
+    touched = frozenset().union(*vs.incidences)
     for i in range(1, m + 1):
-        on_facet = [v for v, tight in vertices if i in tight]
-        if _affine_dim(on_facet) != n - 1:
+        if i not in touched:
             raise RedundantRow(i)
     return system
 
 
-def _affine_dim(points: list[Vector]) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[p[j] - base[j] for j in range(len(base))] for p in points[1:]]
-    return _rank(diffs) if diffs else 0
+@lru_cache(maxsize=256)
+def enumerate_vertices(S: PolytopeSystem) -> VertexSet:
+    """All vertices with their tight row sets, sorted lexicographically.
 
-
-def _enumerate_vertices_raw(S: PolytopeSystem) -> list[tuple[Vector, frozenset[int]]]:
-    """All vertices with tight row sets, sorted lexicographically."""
+    This is the only vertex enumeration of an H-representation:
+    `validate_hrep` reads its checks off it, and the cache hands the same
+    result to every later reader of the system.
+    """
     m, n = S.m, S.n
     seen: dict[Vector, frozenset[int]] = {}
-    for rows in combinations(range(m), n):
+    for rows in _bases(m, n):
         M = [list(S.A[i]) for i in rows]
         rhs = [-S.b[i] for i in rows]
         x = _solve_square(M, rhs)
@@ -282,25 +301,12 @@ def _enumerate_vertices_raw(S: PolytopeSystem) -> list[tuple[Vector, frozenset[i
         point = tuple(x)
         if point not in seen:
             seen[point] = frozenset(i + 1 for i in range(m) if y[i] == 0)
-    return sorted(seen.items())
-
-
-@lru_cache(maxsize=256)
-def enumerate_vertices(S: PolytopeSystem) -> VertexSet:
-    """All vertices of a validated system, canonically ordered."""
-    pairs = _enumerate_vertices_raw(S)
-    return VertexSet(
-        vertices=tuple(v for v, _ in pairs),
-        incidences=tuple(t for _, t in pairs),
-    )
+    return _sorted_vertex_set(seen)
 
 
 def dual_complex_from_hrep(S: PolytopeSystem) -> DualPolytope:
     """Complex on facet labels whose maximal faces are vertex tight sets."""
     vs = enumerate_vertices(S)
-    for tight in vs.incidences:
-        if len(tight) != S.n:
-            raise NotSimple(f"vertex tight on {sorted(tight)}, expected {S.n} rows")
     complex = SimplicialComplex.from_facets(S.m, [sorted(t) for t in vs.incidences])
     return validate_dual(complex, S.n)
 
@@ -313,8 +319,8 @@ def derive_linear_slice(S: PolytopeSystem) -> LinearSlice:
 
     The basis rows are the reduced echelon basis of {y : yA = 0}, scaled
     to coprime integers with positive pivots, so the slice is reproducible
-    across platforms.  Every enumerated vertex is checked to satisfy
-    C(Ax + b) = q.
+    across platforms.  Every row of C is checked to annihilate A, so
+    C(Ax + b) = Cb = q holds at every point x.
     """
     m, n = S.m, S.n
     At = [[S.A[i][j] for i in range(m)] for j in range(n)]
@@ -335,13 +341,10 @@ def derive_linear_slice(S: PolytopeSystem) -> LinearSlice:
         sum((Fraction(C[r][i]) * S.b[i] for i in range(m)), start=Fraction(0))
         for r in range(len(C))
     )
-    slice_ = LinearSlice(C=C, q=q, cols=m)
-    for x in enumerate_vertices(S).vertices:
-        y = S.embed(x)
-        for r in range(slice_.rows):
-            if sum(Fraction(C[r][i]) * y[i] for i in range(m)) != q[r]:
-                raise ValidationError("slice verification failed on a vertex")
-    return slice_
+    for row in C:
+        if any(sum(row[i] * S.A[i][j] for i in range(m)) for j in range(n)):
+            raise ValidationError("slice row does not annihilate A")
+    return LinearSlice(C=C, q=q, cols=m)
 
 
 def double_system(L: LinearSlice) -> LinearSlice:
@@ -371,7 +374,7 @@ def enumerate_slice_vertices(L: LinearSlice) -> tuple[VertexSet, DualPolytope]:
             validate_dual(point, 0),
         )
     seen: dict[Vector, frozenset[int]] = {}
-    for cols in combinations(range(N), r):
+    for cols in _bases(N, r):
         M = [[Fraction(L.C[i][j]) for j in cols] for i in range(r)]
         rhs = list(L.q)
         sol = _solve_square(M, rhs)
@@ -391,13 +394,6 @@ def enumerate_slice_vertices(L: LinearSlice) -> tuple[VertexSet, DualPolytope]:
             raise NotSimple(
                 f"vertex with {len(zeros)} zero coordinates, expected {expected_zeros}"
             )
-    ordered = sorted(seen.items())
-    complex = SimplicialComplex.from_facets(N, [sorted(t) for _, t in ordered])
-    dual = validate_dual(complex, expected_zeros)
-    return (
-        VertexSet(
-            vertices=tuple(v for v, _ in ordered),
-            incidences=tuple(t for _, t in ordered),
-        ),
-        dual,
-    )
+    vs = _sorted_vertex_set(seen)
+    complex = SimplicialComplex.from_facets(N, [sorted(t) for t in vs.incidences])
+    return vs, validate_dual(complex, expected_zeros)

@@ -34,7 +34,7 @@ from math import gcd
 from .complexes import (
     DualPolytope, SimplicialComplex, disjoint_facet_count, double_complex, link, minimal_non_faces,
 )
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, PolytopeError, ValidationError
 
 RATIONALS = "Q"
 GF2 = "F2"
@@ -46,9 +46,8 @@ SPACE_KINDS = (SPACE_Z, SPACE_R)
 
 # hochster_betti can still reach all 2^m subsets (nearly every subset of a
 # polygon's vertices is a union of minimal non-faces); above this it refuses.
+# verify_lemma6 and verify_trc_bound check the doubled count 2m up front.
 HOCHSTER_VERTEX_BUDGET = 20
-# verify_lemma6 and verify_trc_bound run the doubled complex, hence 2m.
-DOUBLE_VERTEX_BUDGET = 10
 
 
 def _check_field(field_tag: str) -> None:
@@ -200,6 +199,26 @@ def reduced_homology_ranks(K: SimplicialComplex, field_tag: str) -> list[int]:
     return _ranks_from_levels(levels, row, field_tag)
 
 
+def is_homology_sphere(P: DualPolytope) -> bool:
+    """True iff the complex and the link of every face have the reduced
+    homology of a sphere of their dimension over Q and over F2.
+
+    This is Stanley's Gorenstein* condition over each field (Stanley,
+    Combinatorics and Commutative Algebra, ch. II); `validate_dual` alone
+    admits pseudomanifolds such as the torus.  A link that fails
+    `validate_dual` is not a sphere.
+    """
+    for face in chain.from_iterable(P.complex.faces_by_size()):
+        try:
+            L, _ = link(P, face)
+        except PolytopeError:
+            return False
+        sphere = [0] * L.dim + [1]
+        if any(reduced_homology_ranks(L.complex, f) != sphere for f in FIELDS):
+            return False
+    return True
+
+
 # -- Hochster-type accumulation ------------------------------------------------
 
 
@@ -307,10 +326,10 @@ class Lemma6Report:
 def verify_lemma6(K: SimplicialComplex, field_tag: str) -> Lemma6Report:
     """hrk of the moment-angle complex of K must equal hrk of the real
     moment-angle complex of the double, degree by degree."""
-    if K.vertex_count > DOUBLE_VERTEX_BUDGET:
+    if 2 * K.vertex_count > HOCHSTER_VERTEX_BUDGET:
         raise BudgetExceeded(
             f"{K.vertex_count} vertices doubles to {2 * K.vertex_count}, "
-            f"budget is {DOUBLE_VERTEX_BUDGET}"
+            f"budget is {HOCHSTER_VERTEX_BUDGET}"
         )
     z = hochster_betti(K, SPACE_Z, field_tag)
     r = hochster_betti(double_complex(K), SPACE_R, field_tag)
@@ -341,8 +360,8 @@ class TrcReport:
 def verify_trc_bound(P: DualPolytope, field_tag: str) -> TrcReport:
     """Check hrk(Z) >= 2^(m-n) and hrk(R of the double) >= 2^(m-n)."""
     m, n = P.m, P.n
-    if m > DOUBLE_VERTEX_BUDGET:
-        raise BudgetExceeded(f"m = {m} exceeds budget {DOUBLE_VERTEX_BUDGET}")
+    if 2 * m > HOCHSTER_VERTEX_BUDGET:
+        raise BudgetExceeded(f"m = {m} doubles to {2 * m}, budget is {HOCHSTER_VERTEX_BUDGET}")
     bound = 1 << (m - n)
     z = hrk(hochster_betti(P.complex, SPACE_Z, field_tag))
     r = hrk(hochster_betti(double_complex(P.complex), SPACE_R, field_tag))
@@ -371,8 +390,6 @@ def verify_facet_splitting(P: DualPolytope, v: int, field_tag: str) -> FacetSpli
     """Splitting off one facet: the boundary of the halved manifold is the
     real moment-angle complex of the facet times a discrete factor of
     size 2^k, k the number of facets disjoint from facet v."""
-    if P.m > HOCHSTER_VERTEX_BUDGET:
-        raise BudgetExceeded(f"m = {P.m} exceeds budget {HOCHSTER_VERTEX_BUDGET}")
     k = disjoint_facet_count(P, v)
     lhs = hrk(hochster_betti(P.complex, SPACE_R, field_tag))
     facet, _ = link(P, (v,))

@@ -4,6 +4,7 @@ import pytest
 
 from polydouble.catalog import built_in_catalog
 from polydouble.complexes import full_subcomplex
+from polydouble.geometry import enumerate_vertices
 from polydouble.moment_angle import reduced_homology_ranks
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -23,6 +24,12 @@ def pentagon_hrep_path():
 @pytest.fixture(scope="session")
 def c5_complex_path():
     return str(DATA / "c5_complex.json")
+
+
+@pytest.fixture(scope="session")
+def torus7_complex_path():
+    """The 7-vertex torus: a connected pseudomanifold, not a sphere."""
+    return str(DATA / "torus7_complex.json")
 
 
 def _plain_hochster(K, field_tag):
@@ -82,3 +89,37 @@ def _check_face_levels(K):
 @pytest.fixture(scope="session")
 def check_face_levels():
     return _check_face_levels
+
+
+def _affine_dim(points):
+    """Exact affine dimension of a list of rational points; -1 if empty."""
+    if not points:
+        return -1
+    rows = [[p[j] - points[0][j] for j in range(len(p))] for p in points[1:]]
+    rank = 0
+    for c in range(len(points[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] / rows[rank][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_facet_rule(S):
+    """On a system whose vertices are all simple, "the vertices tight on
+    row i span an (n-1)-flat" (the facet test `validate_hrep` used to run)
+    must equal "some vertex is tight on row i" (the one it runs now)."""
+    vs = enumerate_vertices(S)
+    assert all(len(t) == S.n for t in vs.incidences)
+    for i in range(1, S.m + 1):
+        on_row = [v for v, t in zip(vs.vertices, vs.incidences) if i in t]
+        assert (_affine_dim(on_row) == S.n - 1) == bool(on_row), i
+
+
+@pytest.fixture(scope="session")
+def check_facet_rule():
+    return _check_facet_rule

@@ -45,6 +45,13 @@ class TestParseSpec:
         assert entry.complex == polygon_complex(5)
         assert entry.dual is not None and entry.dual.dim == 2
 
+    def test_file_that_is_not_a_sphere(self, torus7_complex_path):
+        entry = parse_spec(f"file:{torus7_complex_path}")
+        assert entry.dual is None
+        assert len(entry.complex.maximal_faces) == 14
+        with pytest.raises(ValidationError):
+            entry.require_dual()
+
     def test_hrep(self, pentagon_hrep_path):
         entry = parse_spec(f"hrep:{pentagon_hrep_path}")
         assert entry.m == 5 and entry.dual.dim == 2

@@ -71,6 +71,9 @@ class TestVerify:
         # 2^31 faces: refused before the enumeration, not killed for memory.
         assert main(["describe", "simplex:30"]) == 2
         assert "faces" in capsys.readouterr().err
+        # C(32, 12) column bases: refused before the first solve.
+        assert main(["verify", "geomdouble", "product(polygon:8,polygon:8)"]) == 2
+        assert "bases" in capsys.readouterr().err
 
     def test_missing_spec_for_single_check(self, capsys):
         assert main(["verify", "theorem3"]) == 2
@@ -99,6 +102,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "facetsplit" in captured.err and "point" in captured.err
+
+
+class TestNotASphere:
+    """The 7-vertex torus passes the weak dual checks but is no sphere."""
+
+    def test_describe_exit_2(self, capsys, torus7_complex_path):
+        assert main(["describe", f"file:{torus7_complex_path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_theorem3_exit_2(self, capsys, torus7_complex_path):
+        assert main(["verify", "theorem3", f"file:{torus7_complex_path}"]) == 2
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_betti_still_accepts_it(self, capsys, torus7_complex_path):
+        assert main(["betti", f"file:{torus7_complex_path}", "--space", "Z"]) == 0
+        assert capsys.readouterr().out.endswith("hrk: 130\n")
 
 
 class TestBetti:

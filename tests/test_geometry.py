@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydouble import geometry
 from polydouble.catalog import (
+    block_diagonal,
     cube_hrep,
     polygon_complex,
     polygon_hrep,
@@ -239,3 +242,76 @@ def test_polygon_hreps_have_matching_counts():
         S = validate_hrep(*polygon_hrep(m))
         assert S.m == m
         assert len(enumerate_vertices(S).vertices) == m
+
+
+REDUNDANT = ([[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1]], [0, 0, 1, 1, 3])
+
+
+def unvalidated(A, b):
+    return PolytopeSystem(
+        tuple(tuple(F(v) for v in row) for row in A), tuple(F(v) for v in b)
+    )
+
+
+class TestFacetRule:
+    """The tight-set facet test against the affine-dimension oracle."""
+
+    def test_catalog_systems(self, catalog, check_facet_rule):
+        for entry in catalog:
+            if entry.system is not None:
+                check_facet_rule(entry.system)
+
+    def test_product_system(self, check_facet_rule):
+        check_facet_rule(
+            validate_hrep(*block_diagonal(simplex_hrep(2), polygon_hrep(6)))
+        )
+
+    def test_small_systems(self, check_facet_rule):
+        for A, b in (SQUARE, PENTAGON, TRIANGLE, SEGMENT, REDUNDANT):
+            check_facet_rule(unvalidated(A, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        cuts=st.lists(
+            st.tuples(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                      st.integers(-2, 6)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_random_simple_systems(self, check_facet_rule, n, cuts):
+        # The box 0 <= x <= 2 keeps every system bounded; the cuts may be
+        # facets, redundant, or empty the polytope.
+        A, b = cube_hrep(n)
+        b = [2 * v for v in b]
+        for row, offset in cuts:
+            A.append([F(v) for v in row[:n]])
+            b.append(F(offset))
+        S = unvalidated(A, b)
+        if all(len(t) == n for t in enumerate_vertices(S).incidences):
+            check_facet_rule(S)
+
+
+def test_one_enumeration_per_system():
+    # Validation, the dual complex and the slice share one enumeration,
+    # and the slice reads no vertices at all.
+    enumerate_vertices.cache_clear()
+    S = validate_hrep(*polygon_hrep(7))
+    dual_complex_from_hrep(S)
+    derive_linear_slice(S)
+    info = enumerate_vertices.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_basis_count_over_budget(monkeypatch):
+    # C(4, 2) = 6 row bases for the square and C(4, 2) = 6 column bases
+    # for its slice; the cache is cleared so that the square is enumerated.
+    monkeypatch.setattr(geometry, "_BASIS_BUDGET", 5)
+    enumerate_vertices.cache_clear()
+    with pytest.raises(BudgetExceeded):
+        system(*SQUARE)
+    with pytest.raises(BudgetExceeded):
+        enumerate_slice_vertices(
+            LinearSlice(C=((1, 0, 1, 0), (0, 1, 0, 1)), q=(F(1), F(1)), cols=4)
+        )

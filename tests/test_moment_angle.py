@@ -1,12 +1,14 @@
 import pytest
 
+from polydouble import moment_angle
 from polydouble.catalog import (
     cube_complex,
     polygon_complex,
     simplex_complex,
 )
-from polydouble.complexes import SimplicialComplex, double_complex, validate_dual
+from polydouble.complexes import DualPolytope, SimplicialComplex, double_complex, validate_dual
 from polydouble.errors import BudgetExceeded, ValidationError
+from polydouble.fileio import load_complex_file
 from polydouble.moment_angle import (
     GF2,
     RATIONALS,
@@ -14,6 +16,7 @@ from polydouble.moment_angle import (
     SPACE_Z,
     hochster_betti,
     hrk,
+    is_homology_sphere,
     reduced_homology_ranks,
     verify_facet_splitting,
     verify_lemma6,
@@ -64,6 +67,38 @@ class TestReducedHomology:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             reduced_homology_ranks(C5, "F3")
+
+
+class TestHomologySphere:
+    def test_catalog_and_small_doubles(self, catalog):
+        for entry in catalog:
+            assert is_homology_sphere(entry.dual), entry.name
+            if entry.m <= 4:
+                doubled = validate_dual(double_complex(entry.complex), entry.m + entry.dual.dim)
+                assert is_homology_sphere(doubled), entry.name
+
+    def test_point(self):
+        assert is_homology_sphere(validate_dual(SimplicialComplex.point(), 0))
+
+    def test_torus_passes_the_weak_checks_only(self, torus7_complex_path):
+        torus = validate_dual(load_complex_file(torus7_complex_path), 3)
+        assert reduced_homology_ranks(torus.complex, RATIONALS) == [0, 0, 2, 1]
+        assert not is_homology_sphere(torus)
+
+    def test_projective_plane(self):
+        # Over Q RP2 has the homology of a point, over F2 that of no sphere.
+        assert not is_homology_sphere(validate_dual(RP2, 3))
+
+    def test_link_failing_validation_is_not_a_sphere(self):
+        # Two tetrahedron boundaries sharing vertex 1, wrapped without
+        # validate_dual: K, the link of the empty face, fails it (its facet
+        # graph is disconnected).
+        K = SimplicialComplex.from_facets(
+            7,
+            [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+             (1, 5, 6), (1, 5, 7), (1, 6, 7), (5, 6, 7)],
+        )
+        assert not is_homology_sphere(DualPolytope(K, 3))
 
 
 class TestHochster:
@@ -155,9 +190,16 @@ class TestLemma6:
         assert report.total_z == report.total_r == expected
         assert report.per_degree_equal
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # The doubled vertex count is refused before any sweep starts.
+        def no_sweep(*args):
+            raise AssertionError("swept before the budget check")
+
+        monkeypatch.setattr(moment_angle, "hochster_betti", no_sweep)
         with pytest.raises(BudgetExceeded):
             verify_lemma6(polygon_complex(11), RATIONALS)
+        with pytest.raises(BudgetExceeded):
+            verify_trc_bound(validate_dual(polygon_complex(11), 2), RATIONALS)
 
     def test_holds_for_non_polytopal_complexes(self):
         # The squaring substitution underlying the equality does not need
@@ -201,6 +243,10 @@ class TestFacetSplitting:
         )
         assert report.passed
         assert report.lhs == report.rhs == 2
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            verify_facet_splitting(validate_dual(polygon_complex(21), 2), 1, RATIONALS)
 
     def test_hexagon(self):
         report = verify_facet_splitting(validate_dual(polygon_complex(6), 2), 1, RATIONALS)
