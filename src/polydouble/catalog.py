@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import (
+    MAX_VERTICES,
     DualPolytope,
     SimplicialComplex,
     double_complex,
@@ -32,7 +33,6 @@ from .geometry import PolytopeSystem, dual_complex_from_hrep, validate_hrep
 from .moment_angle import is_homology_sphere
 
 MAX_SPEC_DEPTH = 8
-MAX_SPEC_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,10 @@ class _SpecParser:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # a superscript digit, or past the digit limit
+            raise self.error(str(exc)) from exc
 
     def read_path(self) -> str:
         start = self.pos
@@ -327,9 +330,9 @@ class _SpecParser:
             if word == "polygon" and value < 3:
                 raise self.error("polygon needs at least 3 sides")
             predicted = {"simplex": value + 1, "cube": 2 * value, "polygon": value}[word]
-            if predicted > MAX_SPEC_VERTICES:
+            if predicted > MAX_VERTICES:
                 raise self.error(
-                    f"{word}:{value} has {predicted} facets, limit {MAX_SPEC_VERTICES}"
+                    f"{word}:{value} has {predicted} facets, limit {MAX_VERTICES}"
                 )
             entry = {
                 "simplex": simplex_entry,
@@ -356,10 +359,6 @@ class _SpecParser:
             entry = hrep_entry(self.read_path())
         else:
             raise self.error(f"unknown form {word!r}")
-        if entry.m > MAX_SPEC_VERTICES:
-            raise self.error(
-                f"{entry.name} has {entry.m} facet labels, limit {MAX_SPEC_VERTICES}"
-            )
         return entry
 
 

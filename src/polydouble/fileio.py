@@ -36,10 +36,14 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    # ValueError: a NUL in the path, or an integer past Python's digit
+    # limit; RecursionError: arrays nested too deep for the decoder.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return data

@@ -8,16 +8,19 @@ polytope inside the nonnegative orthant of R^(2m).
 
 Everything is computed over Fraction; no tolerance appears anywhere.
 Vertex enumeration is deliberately brute force (all row or column bases)
-so that results are order independent and trivially auditable.
+so that results are order independent and trivially auditable.  It is
+also the only test of an H-representation: boundedness, emptiness,
+simplicity and irredundancy are all read off its vertices and tight sets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .complexes import DualPolytope, SimplicialComplex, validate_dual
 from .errors import (
@@ -33,9 +36,6 @@ from .errors import (
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
-
-# Fourier-Motzkin can square the row count at every elimination step.
-_FM_ROW_CAP = 200_000
 
 # Cap on the row or column bases a brute-force enumeration tries.  The
 # doubled slice of product(polygon:5,polygon:6) needs C(22, 7) = 170544.
@@ -163,70 +163,32 @@ def _sorted_vertex_set(seen: dict[Vector, frozenset[int]]) -> VertexSet:
     return VertexSet(tuple(v for v, _ in ordered), tuple(t for _, t in ordered))
 
 
-def _primitive_direction(row: list[Fraction]) -> tuple[int, ...]:
-    """Scale a rational row by a positive factor to coprime integers."""
-    denom = 1
-    for v in row:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def _primitive_int_row(row: list[Fraction]) -> tuple[int, ...]:
-    """Primitive integer row normalized to a positive leading entry."""
-    ints = list(_primitive_direction(row))
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    """Scale a rational row to coprime integers with a positive leading entry."""
+    denom = lcm(*(v.denominator for v in row))
+    ints = [int(v * denom) for v in row]
+    g = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints) if g else tuple(ints)
 
 
-# -- Fourier-Motzkin boundedness check ---------------------------------------
+def recession_cone_is_trivial(vs: VertexSet) -> bool:
+    """True iff every ridge of `vs` lies on exactly two vertices.
 
-
-def _fm_eliminate(rows: set[tuple[int, ...]], k: int) -> set[tuple[int, ...]]:
-    """Project the cone {x : rows . x >= 0} along coordinate k."""
-    zero, pos, neg = set(), [], []
-    for row in rows:
-        if row[k] > 0:
-            pos.append(row)
-        elif row[k] < 0:
-            neg.append(row)
-        else:
-            zero.add(row)
-    out = set(zero)
-    for p in pos:
-        for q in neg:
-            combo = [p[k] * q[j] - q[k] * p[j] for j in range(len(p))]
-            if any(combo):
-                out.add(_primitive_direction([Fraction(v) for v in combo]))
-            if len(out) > _FM_ROW_CAP:
-                raise BudgetExceeded(
-                    f"Fourier-Motzkin elimination passed {_FM_ROW_CAP} rows"
-                )
-    return out
-
-
-def recession_cone_is_trivial(A: Matrix) -> bool:
-    """True iff {x : Ax >= 0} = {0}, by projecting onto every axis."""
-    n = len(A[0])
-    base = {_primitive_direction(list(row)) for row in A}
-    base.discard(tuple([0] * n))
-    for axis in range(n):
-        rows = set(base)
-        for k in range(n):
-            if k != axis:
-                rows = _fm_eliminate(rows, k)
-        has_pos = any(r[axis] > 0 for r in rows)
-        has_neg = any(r[axis] < 0 for r in rows)
-        if not (has_pos and has_neg):
-            return False
-    return True
+    Preconditions: A has rank n, and every vertex is tight on exactly n
+    rows.  A ridge is a vertex's tight set minus one row.  Dropping that
+    row at a simple vertex leaves an edge, which either ends at exactly
+    one other vertex, whose tight set then contains the ridge, or is a
+    ray, and then no other vertex contains it.  If every edge ends, P is
+    bounded: were d != 0 in the recession cone, take c with c.d > 0 and
+    the vertex v maximizing c.  Every edge direction e at v has c.e <= 0,
+    and the tangent cone at the simple vertex v, which contains d, is
+    generated by those n directions; so c.d <= 0.  For n = 1 the ridge is
+    the empty set: a segment has two vertices and a ray has one.
+    """
+    ridges = Counter(t - {i} for t in vs.incidences for i in t)
+    return all(count == 2 for count in ridges.values())
 
 
 # -- H-representation validation and vertex enumeration ----------------------
@@ -245,10 +207,13 @@ def _coerce_matrix(A) -> Matrix:
 def validate_hrep(A, b) -> PolytopeSystem:
     """Validate boundedness, nonemptiness, simplicity, and irredundancy.
 
-    Boundedness is decided exactly by Fourier-Motzkin elimination on the
-    recession cone; the rest read the vertices and tight row sets off the
-    cached `enumerate_vertices`.  Once every vertex is tight on exactly n
-    rows, a row supports a facet iff some vertex is tight on it.
+    Errors come in this order: the shape of A and b and m > n; rank A < n
+    (`Unbounded`, since the system then has a line of solutions); no
+    vertex (`Empty`); a vertex not tight on exactly n rows (`NotSimple`);
+    an edge that is a ray, read off the tight sets by
+    `recession_cone_is_trivial` (`Unbounded`); a row no vertex is tight
+    on (`RedundantRow`).  Everything after the rank reads the one cached
+    `enumerate_vertices`.
     """
     A = _coerce_matrix(A)
     b = tuple(Fraction(v) for v in b)
@@ -257,7 +222,9 @@ def validate_hrep(A, b) -> PolytopeSystem:
     m, n = len(A), len(A[0])
     if m <= n:
         raise ValidationError(f"{m} inequalities cannot bound a {n}-dimensional polytope")
-    if not recession_cone_is_trivial(A):
+    # With rank A < n there is no vertex either, so this check must come
+    # before the one for emptiness.
+    if len(_rref(list(zip(*A)))[1]) < n:
         raise Unbounded("recession cone is not {0}")
     system = PolytopeSystem(A, b)
     vs = enumerate_vertices(system)
@@ -268,6 +235,8 @@ def validate_hrep(A, b) -> PolytopeSystem:
             raise NotSimple(
                 f"vertex {tuple(map(str, v))} is tight on {sorted(tight)}, expected {n} rows"
             )
+    if not recession_cone_is_trivial(vs):
+        raise Unbounded("recession cone is not {0}")
     # At a simple vertex the n tight rows are linearly independent, so the
     # vertex cone is simplicial and each tight row is tight on an
     # (n-1)-face through the vertex.  A row no vertex is tight on supports

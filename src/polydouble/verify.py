@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import (
+    BivariatePolynomial,
     derivative_sum,
     doubling_operator_apply,
     face_sum_lemma2,
@@ -71,20 +72,30 @@ def doubled_dual(entry: CatalogEntry) -> DualPolytope:
     return validate_dual(double_complex(P.complex), P.m + P.dim)
 
 
-def check_theorem3(entry: CatalogEntry) -> CheckResult:
-    """h of the double, by raw face enumeration, against the product form."""
+def check_theorem3(
+    entry: CatalogEntry, lhs: BivariatePolynomial | None = None
+) -> CheckResult:
+    """h of the double, by raw face enumeration, against the product form.
+
+    `lhs`, when given, is that h: `run_all` computes it once for this
+    check and `check_lemma2`.
+    """
     P = entry.require_dual()
-    lhs = h_polynomial(doubled_dual(entry))
+    if lhs is None:
+        lhs = h_polynomial(doubled_dual(entry))
     rhs = theorem3_rhs(h_polynomial(P), P.m, P.dim)
     return CheckResult(
         "theorem3", entry.name, lhs.to_text(), rhs.to_text(), lhs == rhs
     )
 
 
-def check_lemma2(entry: CatalogEntry) -> CheckResult:
+def check_lemma2(
+    entry: CatalogEntry, lhs: BivariatePolynomial | None = None
+) -> CheckResult:
     """h of the double against the alternating face sum over links."""
     P = entry.require_dual()
-    lhs = h_polynomial(doubled_dual(entry))
+    if lhs is None:
+        lhs = h_polynomial(doubled_dual(entry))
     rhs = face_sum_lemma2(P, P.m)
     return CheckResult("lemma2", entry.name, lhs.to_text(), rhs.to_text(), lhs == rhs)
 
@@ -273,8 +284,9 @@ def run_check(
 def run_all(entry: CatalogEntry, field_tag: str = RATIONALS) -> list[CheckResult]:
     """All checks that apply to this entry, budget-gated for the heavy two."""
     results: list[CheckResult] = []
-    results.append(check_theorem3(entry))
-    results.append(check_lemma2(entry))
+    h = h_polynomial(doubled_dual(entry))
+    results.append(check_theorem3(entry, h))
+    results.append(check_lemma2(entry, h))
     results.append(check_operator(entry))
     results.extend(check_dring(entry))
     if entry.kind == "product" and len(entry.parts) == 2:

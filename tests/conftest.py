@@ -1,10 +1,12 @@
 import pathlib
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from polydouble.catalog import built_in_catalog
 from polydouble.complexes import full_subcomplex
-from polydouble.geometry import enumerate_vertices
+from polydouble.geometry import enumerate_vertices, recession_cone_is_trivial
 from polydouble.moment_angle import reduced_homology_ranks
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -123,3 +125,65 @@ def _check_facet_rule(S):
 @pytest.fixture(scope="session")
 def check_facet_rule():
     return _check_facet_rule
+
+
+def _primitive_direction(row):
+    """Scale a rational row by a positive factor to coprime integers."""
+    denom = lcm(*(v.denominator for v in row))
+    ints = [int(v * denom) for v in row]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g else tuple(ints)
+
+
+def _fm_eliminate(rows, k):
+    """Project the cone {x : rows . x >= 0} along coordinate k."""
+    zero, pos, neg = set(), [], []
+    for row in rows:
+        if row[k] > 0:
+            pos.append(row)
+        elif row[k] < 0:
+            neg.append(row)
+        else:
+            zero.add(row)
+    out = set(zero)
+    for p in pos:
+        for q in neg:
+            combo = [p[k] * q[j] - q[k] * p[j] for j in range(len(p))]
+            if any(combo):
+                out.add(_primitive_direction([Fraction(v) for v in combo]))
+    return out
+
+
+def _fourier_motzkin_bounded(A):
+    """True iff {x : Ax >= 0} = {0}, by projecting onto every axis.
+
+    Fourier-Motzkin elimination: the test `validate_hrep` used to run.
+    """
+    n = len(A[0])
+    base = {_primitive_direction(list(row)) for row in A}
+    base.discard(tuple([0] * n))
+    for axis in range(n):
+        rows = set(base)
+        for k in range(n):
+            if k != axis:
+                rows = _fm_eliminate(rows, k)
+        if not (any(r[axis] > 0 for r in rows) and any(r[axis] < 0 for r in rows)):
+            return False
+    return True
+
+
+def _check_ridge_rule(S):
+    """On a system with a vertex whose vertices are all simple, "every
+    ridge lies on exactly two vertices" must equal Fourier-Motzkin's
+    verdict on the recession cone.  A vertex needs n independent tight
+    rows, so such a system has rank A = n.  Returns the shared verdict."""
+    vs = enumerate_vertices(S)
+    assert vs.vertices and all(len(t) == S.n for t in vs.incidences)
+    bounded = recession_cone_is_trivial(vs)
+    assert bounded == _fourier_motzkin_bounded(S.A)
+    return bounded
+
+
+@pytest.fixture(scope="session")
+def check_ridge_rule():
+    return _check_ridge_rule

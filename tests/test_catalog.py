@@ -1,11 +1,18 @@
-import pytest
+import json
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polydouble import geometry
 from polydouble.catalog import (
     built_in_catalog,
     parse_spec,
     polygon_complex,
 )
 from polydouble.errors import ParseError, PolytopeError, ValidationError
+from polydouble.fileio import load_complex_file, load_hrep_file
 
 
 class TestParseSpec:
@@ -115,6 +122,76 @@ class TestFileFormats:
         path.write_text("vertices: 3")
         with pytest.raises(ParseError):
             parse_spec(f"file:{path}")
+
+
+# Specs one combinator deep over leaves with integers <= 6, some of them
+# malformed.  Paths use letters only, so they name no file.
+_LEAVES = st.one_of(
+    st.just("point"),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["simplex", "cube", "polygon"]),
+        st.integers(0, 6),
+    ),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["file", "hrep"]),
+        st.text("abc", max_size=3),
+    ),
+    st.text(max_size=6),
+)
+_SPECS = st.one_of(
+    _LEAVES,
+    st.builds("double({})".format, _LEAVES),
+    st.builds("product({},{})".format, _LEAVES, _LEAVES),
+    st.builds("{}{}".format, _LEAVES, st.sampled_from(["(", ")", ",", ":", " "])),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["1/2", "-3", "1/0", "x"]),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+_OBJECTS = st.dictionaries(
+    st.sampled_from(["A", "b", "vertices", "facets", "x"]), _JSON, max_size=4
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+class TestParserFuzz:
+    """Only PolytopeError escapes the spec parser and the file loaders."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_SPECS)
+    @example(spec="simplex:\u00b2")
+    @example(spec="simplex:" + "9" * 5000)
+    @example(spec="file:a\x00b")
+    def test_parse_spec(self, spec):
+        # A small basis budget keeps products such as
+        # product(cube:5,cube:5) from enumerating C(20, 10) bases.
+        with mock.patch.object(geometry, "_BASIS_BUDGET", 1 << 10):
+            try:
+                parse_spec(spec)
+            except PolytopeError:
+                pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=48), _OBJECTS.map(
+        lambda obj: json.dumps(obj).encode())))
+    @example(data=b"\xff\xfe{}")
+    @example(data=b"[" * 100_000 + b"]" * 100_000)
+    @example(data=b'{"A": [[' + b"1" * 5000 + b']], "b": [1]}')
+    def test_file_loaders(self, fuzz_path, data):
+        fuzz_path.write_bytes(data)
+        for load in (load_complex_file, load_hrep_file):
+            try:
+                load(str(fuzz_path))
+            except PolytopeError:
+                pass
 
 
 def test_built_in_catalog_members():

@@ -104,6 +104,16 @@ class TestVerify:
         assert "facetsplit" in captured.err and "point" in captured.err
 
 
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for spec in (f"hrep:{path}", f"file:{path}"):
+        assert main(["describe", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 class TestNotASphere:
     """The 7-vertex torus passes the weak dual checks but is no sphere."""
 
