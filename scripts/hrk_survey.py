@@ -7,13 +7,17 @@ margin grows quickly with the facet count.
 
 Usage:
     python scripts/hrk_survey.py [--max-m 9] [--field Q|F2]
+
+--max-m above the Hochster vertex budget (20) is refused before any work.
 """
 
 import argparse
 import sys
 
 from polydouble.catalog import cube_entry, polygon_entry, simplex_entry
-from polydouble.moment_angle import FIELDS, RATIONALS, SPACE_Z, hochster_betti, hrk
+from polydouble.moment_angle import (
+    FIELDS, HOCHSTER_VERTEX_BUDGET, RATIONALS, SPACE_Z, hochster_betti, hrk,
+)
 
 
 def survey(entry, field):
@@ -30,6 +34,9 @@ def main() -> int:
     parser.add_argument("--max-m", type=int, default=9)
     parser.add_argument("--field", choices=FIELDS, default=RATIONALS)
     args = parser.parse_args()
+    if args.max_m > HOCHSTER_VERTEX_BUDGET:
+        parser.error(f"--max-m {args.max_m} exceeds the Hochster budget of "
+                     f"{HOCHSTER_VERTEX_BUDGET} vertices")
 
     for n in range(1, min(args.max_m, 7)):
         survey(simplex_entry(n), args.field)

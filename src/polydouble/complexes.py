@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, combinations
-from math import comb
+from itertools import chain
 
 from .bitsets import iter_bits, mask_of, vertices_of
 from .errors import (
@@ -33,9 +32,6 @@ from .errors import (
 )
 
 MAX_VERTICES = 64
-
-# Cap on the subset search performed by minimal_non_faces.
-_NON_FACE_SEARCH_BUDGET = 4_000_000
 
 # Cap on maximal faces produced by double_complex and join.
 _MAXIMAL_FACE_BUDGET = 1 << 22
@@ -331,29 +327,26 @@ def full_subcomplex(K: SimplicialComplex, J: int | Iterable[int]) -> SimplicialC
 def minimal_non_faces(K: SimplicialComplex) -> frozenset[int]:
     """Inclusion-minimal vertex sets that are not faces.
 
-    Searches subsets by increasing size; any non-face free of smaller
-    minimal non-faces is itself minimal.  Sizes above (top face size + 1)
-    cannot occur, which bounds the search.
+    Let N be a minimal non-face and v its highest vertex.  Then f = N - v
+    is a face, and every vertex of f lies below v.  So each minimal
+    non-face is a face f plus one vertex v above f's highest vertex, and
+    such a candidate is one iff it is not a face and each of its subsets
+    with one vertex fewer is; f = ∅ gives the non-faces of size 1.  Only
+    levels s and s+1 of `faces_by_size` are held as sets at a time.  The
+    face budget there bounds this job too: at most faces × m set lookups.
     """
     m = K.vertex_count
-    top = max(f.bit_count() for f in K.maximal_faces)
-    limit = min(m, top + 1)
-    work = sum(comb(m, k) for k in range(1, limit + 1))
-    if work > _NON_FACE_SEARCH_BUDGET:
-        raise BudgetExceeded(
-            f"non-face search needs {work} subset tests, budget {_NON_FACE_SEARCH_BUDGET}"
-        )
-    found: list[int] = []
-    maximal = K.sorted_maximal()
-    for size in range(1, limit + 1):
-        for combo in combinations(range(m), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if any(s & ~mask == 0 for s in found):
-                continue
-            if not any(mask & ~f == 0 for f in maximal):
-                found.append(mask)
+    levels = K.faces_by_size() + [[]]
+    found = []
+    here = {0}
+    for s in range(len(levels) - 1):
+        above = set(levels[s + 1])
+        for f in levels[s]:
+            for v in range(f.bit_length(), m):
+                N = f | 1 << v
+                if N not in above and all(N ^ 1 << u in here for u in iter_bits(f)):
+                    found.append(N)
+        here = above
     return frozenset(found)
 
 

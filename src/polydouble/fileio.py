@@ -3,27 +3,33 @@
 Complex file:        {"vertices": 5, "facets": [[1, 2], [2, 3], ...]}
 H-representation:    {"A": [["1/2", 0], ...], "b": [0, "3/2", ...]}
 
-Rationals are integers or "p/q" strings; whitespace is free-form JSON.
+Rationals are JSON integers or "p" / "p/q" strings of ASCII digits with an
+optional sign; whitespace between JSON tokens is free-form.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .complexes import SimplicialComplex
 from .errors import ParseError, ValidationError
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """An int (not a bool), or a str "p" or "p/q" of ASCII digits with an
+    optional sign.  Exponents, decimal points, whitespace, underscores and
+    non-ASCII digits are refused: `Fraction` would accept "1e10000000" and
+    spend seconds building its 10-million-digit numerator."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # past the digit limit, or q = 0
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"not a rational: {value!r}")
 

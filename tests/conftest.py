@@ -1,5 +1,6 @@
 import pathlib
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -91,6 +92,29 @@ def _check_face_levels(K):
 @pytest.fixture(scope="session")
 def check_face_levels():
     return _check_face_levels
+
+
+def _subset_search_non_faces(K):
+    """Minimal non-faces by trying every vertex subset, smallest first.
+
+    The reference for `minimal_non_faces` (the search it used to run): a
+    non-face with no smaller minimal non-face inside is itself minimal, and
+    none has more than (top face size + 1) vertices.
+    """
+    m = K.vertex_count
+    top = max(f.bit_count() for f in K.maximal_faces)
+    found = []
+    for size in range(1, min(m, top + 1) + 1):
+        for combo in combinations(range(m), size):
+            mask = sum(1 << v for v in combo)
+            if not any(N & ~mask == 0 for N in found) and not K.is_face(mask):
+                found.append(mask)
+    return frozenset(found)
+
+
+@pytest.fixture(scope="session")
+def subset_search_non_faces():
+    return _subset_search_non_faces
 
 
 def _affine_dim(points):

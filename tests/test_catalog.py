@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from polydouble.catalog import (
     polygon_complex,
 )
 from polydouble.errors import ParseError, PolytopeError, ValidationError
-from polydouble.fileio import load_complex_file, load_hrep_file
+from polydouble.fileio import load_complex_file, load_hrep_file, parse_rational
 
 
 class TestParseSpec:
@@ -116,6 +118,25 @@ class TestFileFormats:
         path.write_text('{"A": [["x"], [-1]], "b": [0, 1]}')
         with pytest.raises(ParseError):
             parse_spec(f"hrep:{path}")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e10000000", "1.5", " 1/2", "\u0661", "1/0", "1" * 5000],
+        ids=["exponent", "decimal", "space", "arabic-indic", "zero-q", "5000-digits"],
+    )
+    def test_rational_outside_the_documented_forms(self, text):
+        # "1e10000000" alone took 14.7 s when strings went straight to Fraction.
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rational_forms(self):
+        assert parse_rational("-3/4") == Fraction(-3, 4)
+        assert parse_rational("+7") == 7
+        assert parse_rational(12) == 12
+        with pytest.raises(ParseError):
+            parse_rational(True)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polydouble.cli import _emit_results, main
 from polydouble.verify import CheckResult
 
@@ -35,6 +37,18 @@ class TestDescribe:
         assert main(["describe", "double(simplex:1)"]) == 0
         out = capsys.readouterr().out
         assert "m: 4" in out and "n: 3" in out
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            ("double(polygon:6)", 9),
+            ("double(simplex:5)", 1),
+            ("double(product(polygon:5,simplex:1))", 6),
+        ],
+    )
+    def test_double_minimal_non_faces(self, capsys, spec, count):
+        assert main(["describe", spec]) == 0
+        assert f"\nminimal_non_faces: {count}\n" in capsys.readouterr().out
 
     def test_parse_error_exit_2(self, capsys):
         assert main(["describe", "polygon:2"]) == 2

@@ -6,7 +6,13 @@ from polydouble.catalog import (
     polygon_complex,
     simplex_complex,
 )
-from polydouble.complexes import DualPolytope, SimplicialComplex, double_complex, validate_dual
+from polydouble.complexes import (
+    DualPolytope,
+    SimplicialComplex,
+    double_complex,
+    minimal_non_faces,
+    validate_dual,
+)
 from polydouble.errors import BudgetExceeded, ValidationError
 from polydouble.fileio import load_complex_file
 from polydouble.moment_angle import (
@@ -171,6 +177,23 @@ class TestHochster:
     def test_bad_space_kind(self):
         with pytest.raises(ValidationError):
             hochster_betti(C5, "ZR", RATIONALS)
+
+
+class TestMinimalNonFaces:
+    """`minimal_non_faces` bounds the union sweep; it must match the
+    subset search on the complexes the sweep sees."""
+
+    def test_catalog_and_doubles(self, catalog, subset_search_non_faces):
+        for entry in catalog:
+            if entry.m > 8:
+                continue
+            K = entry.complex
+            for L in (K, double_complex(K)):
+                assert minimal_non_faces(L) == subset_search_non_faces(L), entry.name
+
+    def test_rp2_and_torus(self, torus7_complex_path, subset_search_non_faces):
+        for K in (RP2, load_complex_file(torus7_complex_path)):
+            assert minimal_non_faces(K) == subset_search_non_faces(K)
 
 
 class TestLemma6:

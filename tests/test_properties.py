@@ -99,6 +99,14 @@ def test_minimal_non_faces_double_exactly(K):
     assert minimal_non_faces(double_complex(K)) == expected
 
 
+@given(K=complexes())
+@example(K=SimplicialComplex.point())
+@example(K=SimplicialComplex.from_masks(4, [0b1111]))
+@example(K=SimplicialComplex.from_facets(5, [(1, 2, 3), (3, 4), (5,)]))
+def test_minimal_non_faces_match_the_subset_search(K, subset_search_non_faces):
+    assert minimal_non_faces(K) == subset_search_non_faces(K)
+
+
 @given(complexes(max_vertices=4), complexes(max_vertices=4))
 def test_double_commutes_with_join(K1, K2):
     lhs = double_complex(join(K1, K2))

@@ -23,6 +23,13 @@ def test_hrk_survey():
     assert any(r.startswith("polygon:6 ") and r.endswith("margin 20") for r in rows)
 
 
+def test_hrk_survey_refuses_max_m_past_the_budget():
+    proc = run_script("hrk_survey.py", "--max-m", "21")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-m 21 exceeds" in proc.stderr
+
+
 def test_run_verification_suite_help():
     proc = run_script("run_verification_suite.py", "--help")
     assert proc.returncode == 0, proc.stderr
