@@ -18,9 +18,9 @@ import argparse
 import json
 import sys
 
-from .bipoly import f_polynomial, h_polynomial
+from .bipoly import f_polynomial
 from .catalog import built_in_catalog, parse_spec
-from .complexes import f_counts, minimal_non_faces
+from .complexes import minimal_non_faces
 from .errors import PolytopeError
 from .fileio import render_rational
 from .geometry import enumerate_vertices
@@ -60,13 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_describe(args) -> int:
     entry = parse_spec(args.spec)
     P = entry.require_dual()
+    # One face enumeration for f, f_polynomial and h_polynomial.
+    f = f_polynomial(P)
     lines = [
         f"spec: {entry.name}",
         f"m: {P.m}",
         f"n: {P.dim}",
-        f"f: {f_counts(P)}",
-        f"f_polynomial: {f_polynomial(P).to_text()}",
-        f"h_polynomial: {h_polynomial(P).to_text()}",
+        f"f: {[f.coefficient(P.dim - i, i) for i in range(1, P.dim + 1)]}",
+        f"f_polynomial: {f.to_text()}",
+        f"h_polynomial: {f.sub_alpha_minus_t().to_text()}",
         f"minimal_non_faces: {len(minimal_non_faces(P.complex))}",
     ]
     print("\n".join(lines))

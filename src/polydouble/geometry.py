@@ -6,11 +6,15 @@ the rows of C span the left kernel of A and q = Cb.  Doubling then acts
 on the slice by duplicating every column of C, which realizes the doubled
 polytope inside the nonnegative orthant of R^(2m).
 
-Everything is computed over Fraction; no tolerance appears anywhere.
-Vertex enumeration is deliberately brute force (all row or column bases)
-so that results are order independent and trivially auditable.  It is
-also the only test of an H-representation: boundedness, emptiness,
-simplicity and irredundancy are all read off its vertices and tight sets.
+Everything is exact, over the integers or Fraction; no tolerance appears
+anywhere.  Vertex enumeration still considers every row or column basis,
+in lexicographic order, but one depth-first walk with fraction-free
+integer elimination serves both forms: a shared prefix of basis columns
+is eliminated once, a dependent prefix ends its branch, and only a
+feasible basis builds a Fraction.  Results are sorted, so they do not
+depend on the walk.  The enumeration is also the only test of an
+H-representation: boundedness, emptiness, simplicity and irredundancy
+are all read off its vertices and tight sets.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
 from .complexes import DualPolytope, SimplicialComplex, validate_dual
 from .errors import (
@@ -37,8 +41,8 @@ from .errors import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
-# Cap on the row or column bases a brute-force enumeration tries.  The
-# doubled slice of product(polygon:5,polygon:6) needs C(22, 7) = 170544.
+# Cap on the candidate row or column bases of a vertex enumeration.  The
+# doubled slice of product(polygon:5,polygon:6) has C(22, 7) = 170544.
 _BASIS_BUDGET = 1 << 18
 
 
@@ -130,32 +134,62 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def _solve_square(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an n x n system exactly; None when singular."""
-    n = len(M)
-    aug = [list(M[i]) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [v / inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+def _nonsingular_bases(rows: list[list[int]], count: int):
+    """Every nonsingular basis among the first `count` columns of `rows`.
 
+    `rows` is an integer r x W matrix; its first `count` columns are the
+    candidates and the others are carried along.  Column choices are
+    walked depth-first in lexicographic order, and fraction-free
+    Gauss-Jordan elimination (Bareiss) is carried down the walk, so a
+    shared prefix is eliminated once.  After the pivots of a prefix its
+    columns read det * I, det being the last pivot, and every entry is an
+    integer minor of the input up to sign, so each division is exact.  A
+    candidate that vanishes on the unpivoted rows lies in the span of the
+    prefix, and its branch ends there.
 
-def _bases(count: int, size: int):
-    """Every size-subset of range(count), refused above the basis budget."""
-    total = comb(count, size)
+    Yields (basis, rows, det) at each nonsingular basis B, where rows is
+    det * B^-1 times the carried columns, row k belonging to basis[k],
+    and det may be negative.  More than `_BASIS_BUDGET` candidate bases
+    raise `BudgetExceeded` before any elimination.
+    """
+    r = len(rows)
+    total = comb(count, r)
     if total > _BASIS_BUDGET:
         raise BudgetExceeded(
-            f"C({count}, {size}) = {total} candidate bases, budget {_BASIS_BUDGET}"
+            f"C({count}, {r}) = {total} candidate bases, budget {_BASIS_BUDGET}"
         )
-    return combinations(range(count), size)
+    basis: list[int] = []
+
+    def walk(M: list[list[int]], start: int, det: int):
+        # M holds columns start.. of the eliminated matrix; rows k.. are
+        # unpivoted.
+        k = len(basis)
+        if k == r:
+            yield tuple(basis), M, det
+            return
+        for c in range(start, count - r + k + 1):
+            j = c - start
+            pivot = next((i for i in range(k, r) if M[i][j]), None)
+            if pivot is None:
+                continue
+            top = M[pivot]
+            p = top[j]
+            # Below the last pivot only the carried columns are read.
+            lo = count - start if k == r - 1 else j + 1
+            head = top[lo:]
+            child = []
+            for i in range(r):
+                if i == k:
+                    child.append(head)
+                    continue
+                row = M[k] if i == pivot else M[i]
+                f = row[j]
+                child.append([(p * v - f * h) // det for v, h in zip(row[lo:], head)])
+            basis.append(c)
+            yield from walk(child, c + 1, p)
+            basis.pop()
+
+    return walk(rows, 0, 1)
 
 
 def _sorted_vertex_set(seen: dict[Vector, frozenset[int]]) -> VertexSet:
@@ -252,24 +286,34 @@ def validate_hrep(A, b) -> PolytopeSystem:
 def enumerate_vertices(S: PolytopeSystem) -> VertexSet:
     """All vertices with their tight row sets, sorted lexicographically.
 
+    Each nonsingular choice of n rows B gives the point x with A_B x = -b_B,
+    kept when Ax + b >= 0.  The basis kernel runs on [A^T | I] with each
+    row of A and b scaled to integers by a positive factor, which keeps
+    every inequality; the identity block ends as det * (A_B^T)^-1, so
+    det * x and det * (Ax + b) are integers and only a feasible x becomes
+    a Fraction.
+
     This is the only vertex enumeration of an H-representation:
     `validate_hrep` reads its checks off it, and the cache hands the same
     result to every later reader of the system.
     """
     m, n = S.m, S.n
+    scales = [lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(S.A, S.b)]
+    A = [[int(v * s) for v in row] for row, s in zip(S.A, scales)]
+    b = [int(bi * s) for bi, s in zip(S.b, scales)]
+    matrix = [[row[j] for row in A] + [int(j == k) for k in range(n)] for j in range(n)]
     seen: dict[Vector, frozenset[int]] = {}
-    for rows in _bases(m, n):
-        M = [list(S.A[i]) for i in rows]
-        rhs = [-S.b[i] for i in rows]
-        x = _solve_square(M, rhs)
-        if x is None:
+    for basis, inverse, det in _nonsingular_bases(matrix, m):
+        if det < 0:
+            inverse, det = [[-v for v in row] for row in inverse], -det
+        # det * x, and det * (Ax + b) with each row scaled.
+        x = [-sum(inverse[k][j] * b[i] for k, i in enumerate(basis)) for j in range(n)]
+        slack = [sum(map(mul, row, x)) + det * bi for row, bi in zip(A, b)]
+        if any(v < 0 for v in slack):
             continue
-        y = S.embed(tuple(x))
-        if any(val < 0 for val in y):
-            continue
-        point = tuple(x)
+        point = tuple(Fraction(v, det) for v in x)
         if point not in seen:
-            seen[point] = frozenset(i + 1 for i in range(m) if y[i] == 0)
+            seen[point] = frozenset(i + 1 for i, v in enumerate(slack) if v == 0)
     return _sorted_vertex_set(seen)
 
 
@@ -333,31 +377,31 @@ def enumerate_slice_vertices(L: LinearSlice) -> tuple[VertexSet, DualPolytope]:
     Each choice of `rows` linearly independent columns yields at most one
     vertex; its tight set is the zero coordinates (exactly cols - rows of
     them when the polytope is simple), and those tight sets are the
-    maximal faces of the dual complex on the column labels.
+    maximal faces of the dual complex on the column labels.  The basis
+    kernel runs on [C | q * scale], scale clearing the denominators of q,
+    and reads det * scale * y_B off the last column.  With no rows the
+    one empty basis gives the origin: the point for cols = 0, and for
+    cols > 0 the orthant, which `validate_dual` refuses.
     """
-    r, N = L.rows, L.cols
-    if r == 0:
-        point = SimplicialComplex.point()
-        return (
-            VertexSet(vertices=(tuple(),), incidences=(frozenset(),)),
-            validate_dual(point, 0),
-        )
+    N = L.cols
+    scale = lcm(*(v.denominator for v in L.q))
+    augmented = [list(row) + [int(v * scale)] for row, v in zip(L.C, L.q)]
     seen: dict[Vector, frozenset[int]] = {}
-    for cols in _bases(N, r):
-        M = [[Fraction(L.C[i][j]) for j in cols] for i in range(r)]
-        rhs = list(L.q)
-        sol = _solve_square(M, rhs)
-        if sol is None or any(v < 0 for v in sol):
+    for basis, rows, det in _nonsingular_bases(augmented, N):
+        values = [row[0] for row in rows]
+        if det < 0:
+            values, det = [-v for v in values], -det
+        if any(v < 0 for v in values):
             continue
         y = [Fraction(0)] * N
-        for j, v in zip(cols, sol):
-            y[j] = v
+        for j, v in zip(basis, values):
+            y[j] = Fraction(v, det * scale)
         point = tuple(y)
         if point not in seen:
             seen[point] = frozenset(i + 1 for i in range(N) if y[i] == 0)
     if not seen:
         raise Infeasible("no basic feasible solution")
-    expected_zeros = N - r
+    expected_zeros = N - L.rows
     for point, zeros in seen.items():
         if len(zeros) != expected_zeros:
             raise NotSimple(

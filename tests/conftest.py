@@ -1,13 +1,20 @@
 import pathlib
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
+from polydouble import geometry
 from polydouble.catalog import built_in_catalog
-from polydouble.complexes import full_subcomplex
-from polydouble.geometry import enumerate_vertices, recession_cone_is_trivial
+from polydouble.complexes import SimplicialComplex, full_subcomplex, validate_dual
+from polydouble.errors import BudgetExceeded, Infeasible, NotSimple, PolytopeError
+from polydouble.geometry import (
+    VertexSet,
+    enumerate_slice_vertices,
+    enumerate_vertices,
+    recession_cone_is_trivial,
+)
 from polydouble.moment_angle import reduced_homology_ranks
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -211,3 +218,137 @@ def _check_ridge_rule(S):
 @pytest.fixture(scope="session")
 def check_ridge_rule():
     return _check_ridge_rule
+
+
+def _solve_square(M, rhs):
+    """Solve an n x n system exactly over Fraction; None when singular."""
+    n = len(M)
+    aug = [list(M[i]) + [rhs[i]] for i in range(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = aug[c][c]
+        aug[c] = [v / inv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                factor = aug[i][c]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[c])]
+    return [aug[i][n] for i in range(n)]
+
+
+def _oracle_bases(count, size):
+    total = comb(count, size)
+    if total > geometry._BASIS_BUDGET:
+        raise BudgetExceeded(
+            f"C({count}, {size}) = {total} candidate bases, budget {geometry._BASIS_BUDGET}"
+        )
+    return combinations(range(count), size)
+
+
+def _sorted_vertex_set(seen):
+    ordered = sorted(seen.items())
+    return VertexSet(tuple(v for v, _ in ordered), tuple(t for _, t in ordered))
+
+
+def _oracle_vertices(S):
+    """Vertices of {x : Ax + b >= 0} by a fresh Fraction solve per row basis.
+
+    The reference for `enumerate_vertices` (the enumeration it used to
+    run): each n-subset of rows, in lexicographic order, gives at most
+    one point, kept when it satisfies every inequality.
+    """
+    m, n = S.m, S.n
+    seen = {}
+    for rows in _oracle_bases(m, n):
+        x = _solve_square([list(S.A[i]) for i in rows], [-S.b[i] for i in rows])
+        if x is None:
+            continue
+        y = S.embed(tuple(x))
+        if any(val < 0 for val in y):
+            continue
+        point = tuple(x)
+        if point not in seen:
+            seen[point] = frozenset(i + 1 for i in range(m) if y[i] == 0)
+    return _sorted_vertex_set(seen)
+
+
+def _oracle_slice_vertices(L):
+    """Basic feasible solutions of {y >= 0 : Cy = q} by a fresh Fraction
+    solve per column basis, and the dual complex.
+
+    The reference for `enumerate_slice_vertices` (the enumeration it used
+    to run, whose separate zero-row branch is dropped: the one empty basis
+    gives the origin).  A non-simple vertex is reported in the order the
+    bases are tried.
+    """
+    r, N = L.rows, L.cols
+    seen = {}
+    for cols in _oracle_bases(N, r):
+        M = [[Fraction(L.C[i][j]) for j in cols] for i in range(r)]
+        sol = _solve_square(M, list(L.q))
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        y = [Fraction(0)] * N
+        for j, v in zip(cols, sol):
+            y[j] = v
+        point = tuple(y)
+        if point not in seen:
+            seen[point] = frozenset(i + 1 for i in range(N) if y[i] == 0)
+    if not seen:
+        raise Infeasible("no basic feasible solution")
+    expected_zeros = N - r
+    for zeros in seen.values():
+        if len(zeros) != expected_zeros:
+            raise NotSimple(
+                f"vertex with {len(zeros)} zero coordinates, expected {expected_zeros}"
+            )
+    vs = _sorted_vertex_set(seen)
+    complex = SimplicialComplex.from_facets(N, [sorted(t) for t in vs.incidences])
+    return vs, validate_dual(complex, expected_zeros)
+
+
+def _outcome(run, arg):
+    """A result, or the type and message of the PolytopeError raised."""
+    try:
+        return run(arg)
+    except PolytopeError as exc:
+        return type(exc), str(exc)
+
+
+def _check_vertex_oracle(S):
+    """`enumerate_vertices` equals the per-basis Fraction enumeration on
+    vertices, incidences and order, or raises the same error.  Returns
+    the shared outcome."""
+    enumerate_vertices.cache_clear()
+    outcome = _outcome(enumerate_vertices, S)
+    assert outcome == _outcome(_oracle_vertices, S)
+    return outcome
+
+
+def _check_slice_oracle(L):
+    """`enumerate_slice_vertices` equals the per-basis Fraction enumeration,
+    its dual complex included, or raises the same error.  Returns the
+    shared outcome."""
+
+    def run(enumerate_):
+        outcome = _outcome(enumerate_, L)
+        if isinstance(outcome[0], VertexSet):
+            vs, dual = outcome
+            return vs, dual.complex, dual.dim
+        return outcome
+
+    outcome = run(enumerate_slice_vertices)
+    assert outcome == run(_oracle_slice_vertices)
+    return outcome
+
+
+@pytest.fixture(scope="session")
+def check_vertex_oracle():
+    return _check_vertex_oracle
+
+
+@pytest.fixture(scope="session")
+def check_slice_oracle():
+    return _check_slice_oracle

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from polydouble.cli import _emit_results, main
+from polydouble.complexes import SimplicialComplex
 from polydouble.verify import CheckResult
 
 DESCRIBE_PENTAGON = """\
@@ -50,6 +52,17 @@ class TestDescribe:
         assert main(["describe", spec]) == 0
         assert f"\nminimal_non_faces: {count}\n" in capsys.readouterr().out
 
+    def test_two_face_enumerations(self, capsys, monkeypatch):
+        # f, f_polynomial and h_polynomial share one enumeration, and
+        # minimal_non_faces makes the other.
+        calls = []
+        levels = SimplicialComplex.faces_by_size
+        monkeypatch.setattr(SimplicialComplex, "faces_by_size",
+                            lambda K: calls.append(K) or levels(K))
+        assert main(["describe", "double(cube:2)"]) == 0
+        assert len(calls) == 2
+        assert "f: [8, 28, 56, 68, 48, 16]\n" in capsys.readouterr().out
+
     def test_parse_error_exit_2(self, capsys):
         assert main(["describe", "polygon:2"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -88,6 +101,16 @@ class TestVerify:
         # C(32, 12) column bases: refused before the first solve.
         assert main(["verify", "geomdouble", "product(polygon:8,polygon:8)"]) == 2
         assert "bases" in capsys.readouterr().err
+
+    def test_largest_admitted_slice(self, capsys):
+        # The doubled slice has C(22, 7) = 170544 column bases, the most
+        # the basis budget admits among the inputs in use.
+        start = time.monotonic()
+        assert main(["verify", "geomdouble", "product(polygon:5,polygon:6)"]) == 0
+        elapsed = time.monotonic() - start
+        out = capsys.readouterr().out
+        assert out.startswith("geomdouble product(polygon:5,polygon:6): PASS\n")
+        assert elapsed < 30, f"took {elapsed:.1f}s, budget 30s"
 
     def test_missing_spec_for_single_check(self, capsys):
         assert main(["verify", "theorem3"]) == 2

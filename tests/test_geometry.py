@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydouble import geometry
@@ -12,11 +12,12 @@ from polydouble.catalog import (
     polygon_hrep,
     simplex_hrep,
 )
-from polydouble.complexes import double_complex, equal_under_relabel
+from polydouble.complexes import SimplicialComplex, double_complex, equal_under_relabel
 from polydouble.errors import (
     BudgetExceeded,
     Empty,
     Infeasible,
+    NotPseudomanifold,
     NotSimple,
     RankDeficient,
     RedundantRow,
@@ -353,3 +354,87 @@ def test_basis_count_over_budget(monkeypatch):
         enumerate_slice_vertices(
             LinearSlice(C=((1, 0, 1, 0), (0, 1, 0, 1)), q=(F(1), F(1)), cols=4)
         )
+
+
+def test_zero_row_slices():
+    # No rows leaves the one empty basis and the origin.  With no columns
+    # that is the point; with columns it is the orthant, not a polytope.
+    vs, dual = enumerate_slice_vertices(LinearSlice(C=(), q=(), cols=0))
+    assert vs == geometry.VertexSet(vertices=((),), incidences=(frozenset(),))
+    assert dual.complex == SimplicialComplex.from_facets(0, [[]]) == SimplicialComplex.point()
+    assert dual.dim == 0
+    for cols in (1, 3):
+        with pytest.raises(NotPseudomanifold):
+            enumerate_slice_vertices(LinearSlice(C=(), q=(), cols=cols))
+
+
+def _rationals(numerators):
+    return st.builds(F, numerators, st.integers(1, 3))
+
+
+@st.composite
+def slices(draw):
+    """r = 1..3 rows, at most r + 4 columns, entries -2..2, rational q."""
+    r = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, r + 4))
+    row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols).map(tuple)
+    C = draw(st.lists(row, min_size=r, max_size=r))
+    q = draw(st.lists(_rationals(st.integers(-1, 3)), min_size=r, max_size=r))
+    return LinearSlice(C=tuple(C), q=tuple(q), cols=cols)
+
+
+@st.composite
+def hreps(draw):
+    """n = 1..3, m = 1..6 rows, rational entries; no validation."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(_rationals(st.integers(-2, 2)), min_size=n, max_size=n)
+    A = draw(st.lists(row, min_size=1, max_size=6))
+    b = draw(st.lists(_rationals(st.integers(-1, 4)), min_size=len(A), max_size=len(A)))
+    return unvalidated(A, b)
+
+
+class TestBasisKernel:
+    """Both enumerations against the per-basis Fraction oracle."""
+
+    def test_catalog_systems(self, catalog, check_vertex_oracle, check_slice_oracle):
+        for entry in catalog:
+            if entry.system is None:
+                continue
+            check_vertex_oracle(entry.system)
+            L = derive_linear_slice(entry.system)
+            check_slice_oracle(L)
+            check_slice_oracle(double_system(L))
+
+    def test_product_system(self, check_vertex_oracle, check_slice_oracle):
+        S = validate_hrep(*block_diagonal(simplex_hrep(2), polygon_hrep(6)))
+        check_vertex_oracle(S)
+        L = derive_linear_slice(S)
+        check_slice_oracle(L)
+        check_slice_oracle(double_system(L))
+
+    def test_budget_refusals(self, monkeypatch, check_vertex_oracle, check_slice_oracle):
+        monkeypatch.setattr(geometry, "_BASIS_BUDGET", 5)
+        assert check_vertex_oracle(unvalidated(*SQUARE))[0] is BudgetExceeded
+        L = LinearSlice(C=((1, 0, 1, 0), (0, 1, 0, 1)), q=(F(1), F(1)), cols=4)
+        assert check_slice_oracle(L)[0] is BudgetExceeded
+
+    @settings(max_examples=400, deadline=None)
+    @given(L=slices())
+    # Infeasible; degenerate; rank-deficient; a pivot found below the
+    # first unpivoted row; a negative determinant.
+    @example(L=LinearSlice(C=((1, 1),), q=(F(-1),), cols=2))
+    @example(L=LinearSlice(C=((1, -1),), q=(F(0),), cols=2))
+    @example(L=LinearSlice(C=((1, 1, 0), (2, 2, 0)), q=(F(1), F(2)), cols=3))
+    @example(L=LinearSlice(C=((0, 1, 1), (1, 0, 1)), q=(F(1, 2), F(1, 3)), cols=3))
+    @example(L=LinearSlice(C=((-1, 0, 1), (0, 1, 1)), q=(F(1, 2), F(2, 3)), cols=3))
+    def test_random_slices(self, check_slice_oracle, L):
+        check_slice_oracle(L)
+
+    @settings(max_examples=400, deadline=None)
+    @given(S=hreps())
+    # Rank 1 < n = 2; the pentagon with rational rows.
+    @example(S=unvalidated([[1, 0], [2, 0], [-1, 0]], [0, 0, 1]))
+    @example(S=unvalidated([[F(1, 2), 0], [0, 1], [-1, 0], [0, F(-1, 3)], [-1, -1]],
+                           [0, 0, 2, F(2, 3), 3]))
+    def test_random_hreps(self, check_vertex_oracle, S):
+        check_vertex_oracle(S)
