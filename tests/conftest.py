@@ -247,11 +247,6 @@ def _oracle_bases(count, size):
     return combinations(range(count), size)
 
 
-def _sorted_vertex_set(seen):
-    ordered = sorted(seen.items())
-    return VertexSet(tuple(v for v, _ in ordered), tuple(t for _, t in ordered))
-
-
 def _oracle_vertices(S):
     """Vertices of {x : Ax + b >= 0} by a fresh Fraction solve per row basis.
 
@@ -271,7 +266,7 @@ def _oracle_vertices(S):
         point = tuple(x)
         if point not in seen:
             seen[point] = frozenset(i + 1 for i in range(m) if y[i] == 0)
-    return _sorted_vertex_set(seen)
+    return geometry._sorted_vertex_set(seen)
 
 
 def _oracle_slice_vertices(L):
@@ -304,7 +299,7 @@ def _oracle_slice_vertices(L):
             raise NotSimple(
                 f"vertex with {len(zeros)} zero coordinates, expected {expected_zeros}"
             )
-    vs = _sorted_vertex_set(seen)
+    vs = geometry._sorted_vertex_set(seen)
     complex = SimplicialComplex.from_facets(N, [sorted(t) for t in vs.incidences])
     return vs, validate_dual(complex, expected_zeros)
 
